@@ -62,7 +62,7 @@ from .riordan import (
     production_series,
     riordan_matrix,
 )
-from .series import TruncSeries, egf_polynomials, egf_series
+from .series import TruncSeries, compose_all, egf_polynomials, egf_series
 
 __all__ = [
     "__version__",
@@ -73,6 +73,7 @@ __all__ = [
     "parse_rational",
     "poly_gcd",
     "TruncSeries",
+    "compose_all",
     "egf_polynomials",
     "egf_series",
     "ExpRiordan",

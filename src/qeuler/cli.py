@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, convexity, families, jacobi, riordan, series
-from .algebra import QPoly, parse_rational
+from .algebra import QPoly, as_fraction, parse_rational
 from .families import Family, FamilySpec
 
 __all__ = ["main"]
@@ -214,6 +214,18 @@ def _cmd_check(args):
     return config, {"report": report.to_json()}, report.verdict, lines
 
 
+def _exact(value) -> Fraction:
+    """A JSON entry as an exact rational: an int or a "p/q" string.
+
+    Floats, booleans and null are refused with ``ValueError`` (exit 2)
+    instead of being converted.
+    """
+    try:
+        return as_fraction(value)
+    except TypeError as exc:
+        raise ValueError(f"not an exact rational: {json.dumps(value)} ({exc})") from None
+
+
 def _load_sequence(seq: str, count: int) -> list[Fraction]:
     if seq in convexity.BUILTIN_SEQUENCES:
         return convexity.builtin_sequence(seq, count)
@@ -228,7 +240,7 @@ def _load_sequence(seq: str, count: int) -> list[Fraction]:
         data = data.get("x")
     if not isinstance(data, list):
         raise ValueError("sequence file must hold a JSON array (or {'x': [...]})")
-    return [parse_rational(v) if isinstance(v, str) else Fraction(v) for v in data]
+    return [_exact(v) for v in data]
 
 
 def _cmd_conjecture(args):
@@ -261,12 +273,8 @@ def _moments_from_file(path: str) -> jacobi.MomentSeq:
         raise ValueError("moment file must hold a JSON array (or {'mu': [...]})")
     polys = []
     for entry in data:
-        if isinstance(entry, list):
-            polys.append(QPoly.from_json(entry))
-        elif isinstance(entry, str):
-            polys.append(QPoly(parse_rational(entry)))
-        else:
-            polys.append(QPoly(Fraction(entry)))
+        coeffs = entry if isinstance(entry, list) else [entry]
+        polys.append(QPoly(*(_exact(c) for c in coeffs)))
     return jacobi.MomentSeq(tuple(polys))
 
 

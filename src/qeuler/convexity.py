@@ -136,7 +136,7 @@ def check_strong_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
     return ConvexityReport(
         verdict=not witnesses,
         witnesses=tuple(witnesses),
-        checked_range=(last, last),
+        checked_range=(1, last),
     )
 
 

@@ -9,8 +9,11 @@ Three independent computations meet here and must agree exactly:
 
 * ``moments_by_motzkin_paths``   -- weighted lattice-path sums (level
   step at height i weighs s_i, down step from height i weighs t_i);
-* ``moments_by_cfrac_expansion`` -- truncated series expansion of the
-  nested fraction itself;
+* ``moments_by_cfrac_expansion`` -- the truncated fraction itself,
+  written as one quotient N/D of polynomials in x by the three-term
+  recurrence of its convergents and expanded by a single exact
+  division.  It never walks paths and never calls the series module,
+  so it stays an independent witness for the other two;
 * the first column of a Riordan array whose production matrix is
   tridiagonal with these weights (checked in the test suite).
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ONE, QPoly, QRatFun, RF_ONE, RF_ZERO, ZERO
-from .series import TruncSeries
 
 __all__ = [
     "JFraction",
@@ -180,34 +182,49 @@ def moments_by_motzkin_paths(jf: JFraction, count: int) -> MomentSeq:
     return MomentSeq(tuple(out))
 
 
-def _x_shift(series: TruncSeries, k: int) -> TruncSeries:
-    return TruncSeries(series.order, [RF_ZERO] * k + list(series.coeffs[: series.order - k]))
-
-
 def moments_by_cfrac_expansion(jf: JFraction, count: int) -> MomentSeq:
-    """mu_n by expanding the nested fraction bottom-up as a series.
+    """mu_n by expanding the nested fraction through its convergents.
 
-    Levels below floor((count-1)/2) only influence x-powers beyond the
-    window, so the tail is cut there; this route shares nothing with the
-    path count except the weights themselves.
+    With H = floor((count-1)/2), levels below H only influence x-powers
+    beyond the window, so the fraction is cut there and written as N/D
+    with N = 1, D = 1 - s_H x.  Wrapping one level up,
+
+        1/(1 - s_k x - t_{k+1} x^2 N/D) = D / ((1 - s_k x) D - t_{k+1} x^2 N),
+
+    so (N, D) <- (D, (1 - s_k x) D - t_{k+1} x^2 N) is the three-term
+    recurrence of the convergents (Flajolet 1980), kept below x^count.
+    Every step keeps D(0) = 1, hence the single division N/D at the end
+    is exact in Q[q] and needs no rational functions: the whole route
+    costs O(count^2) polynomial products.  It reads the fraction as an
+    algebraic object, sharing nothing with the path count except the
+    weights themselves.
     """
     if count < 1:
         raise ValueError("count must be positive")
     height = (count - 1) // 2
     _require_depth(jf, height, "cfrac moment expansion")
-    if count >= 2:
-        level = TruncSeries(count, [RF_ONE, -QRatFun(jf.s[height])]).inverse()
-    else:
-        level = TruncSeries(count, [RF_ONE])
-    # level == 1/(1 - s_H x); now wrap upwards
+    num: list[QPoly] = [ONE]
+    den: list[QPoly] = [ONE, -jf.s[height]][:count]
     for k in range(height - 1, -1, -1):
-        lin = TruncSeries(count, [RF_ZERO, QRatFun(jf.s[k])])
-        quad = _x_shift(level * QRatFun(jf.t[k]), 2)
-        level = (-(lin + quad) + 1).inverse()
-    out = []
+        s, t = jf.s[k], jf.t[k]
+        size = min(count, len(den) + 1)
+        nxt = den + [ZERO] * (size - len(den))
+        for i, c in enumerate(den[: size - 1]):
+            if not c.is_zero:
+                nxt[i + 1] = nxt[i + 1] - s * c
+        for i, c in enumerate(num[: size - 2]):
+            if not c.is_zero:
+                nxt[i + 2] = nxt[i + 2] - t * c
+        num, den = den, nxt
+    # mu = N / D with D(0) = 1: mu_n = N_n - sum_{k>=1} D_k mu_{n-k}
+    mu: list[QPoly] = []
     for n in range(count):
-        out.append(level.coeffs[n].as_poly())
-    return MomentSeq(tuple(out))
+        acc = num[n] if n < len(num) else ZERO
+        for k in range(1, min(n, len(den) - 1) + 1):
+            if not den[k].is_zero and not mu[n - k].is_zero:
+                acc = acc - den[k] * mu[n - k]
+        mu.append(acc)
+    return MomentSeq(tuple(mu))
 
 
 def orthogonal_basis(jf: JFraction, size: int) -> OrthoBasis:

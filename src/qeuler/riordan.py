@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import QPoly, QRatFun, Rat, RF_ONE, RF_ZERO, as_fraction
-from .series import TruncSeries, egf_series
+from .series import TruncSeries, compose_all, egf_series
 
 __all__ = [
     "ExpRiordan",
@@ -245,14 +245,18 @@ def lower_tri_inverse(mat: LowerTri) -> LowerTri:
 
 
 def production_series(arr: ExpRiordan) -> tuple[TruncSeries, TruncSeries]:
-    """The series c = g'(fbar)/g(fbar) and r = f'(fbar), one order short."""
+    """The series c = g'(fbar)/g(fbar) and r = f'(fbar), one order short.
+
+    The three substitutions into fbar share its powers.
+    """
     n = arr.order
     if n < 3:
         raise ValueError("need order >= 3 to extract production series")
     fbar = arr.f.reversion().truncate(n - 1)
-    r = arr.f.derivative().compose(fbar)
-    c = arr.g.derivative().compose(fbar) * arr.g.truncate(n - 1).compose(fbar).inverse()
-    return c, r
+    r, dg, g = compose_all(
+        [arr.f.derivative(), arr.g.derivative(), arr.g.truncate(n - 1)], fbar
+    )
+    return dg * g.inverse(), r
 
 
 def production_matrix_from_series(c: TruncSeries, r: TruncSeries) -> ProductionData:

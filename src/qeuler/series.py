@@ -16,10 +16,7 @@ that the rest of the package cross-checks by independent routes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (
-    ONE,
     QPoly,
     QRatFun,
     Rat,
@@ -28,7 +25,7 @@ from .algebra import (
     as_fraction,
 )
 
-__all__ = ["TruncSeries", "egf_series", "egf_polynomials"]
+__all__ = ["TruncSeries", "compose_all", "egf_series", "egf_polynomials"]
 
 
 def _coerce_rf(value) -> QRatFun:
@@ -198,14 +195,8 @@ class TruncSeries:
         return (self.log() * e).exp()
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """Substitute ``inner`` (constant term 0) for ``x``, by Horner."""
-        self._same_order(inner)
-        if not inner.coeffs[0].is_zero:
-            raise ValueError("composition requires the inner series to vanish at 0")
-        result = TruncSeries.constant(self.order, self.coeffs[-1])
-        for k in range(self.order - 2, -1, -1):
-            result = result * inner + self.coeffs[k]
-        return result
+        """Substitute ``inner`` (constant term 0) for ``x``."""
+        return compose_all([self], inner)[0]
 
     def derivative(self) -> "TruncSeries":
         """Formal d/dx; the result's order drops by one."""
@@ -218,18 +209,17 @@ class TruncSeries:
             raise ValueError(f"cannot truncate order {self.order} to {order}")
         return TruncSeries(order, self.coeffs[:order])
 
-    def _padded(self, order: int) -> "TruncSeries":
-        # internal: extends the window with zeros the caller knows are safe
-        if order < self.order:
-            raise ValueError("padding cannot shrink")
-        return TruncSeries(order, self.coeffs)
-
     def reversion(self) -> "TruncSeries":
         """Compositional inverse h with self(h(x)) = x.
 
-        Requires constant term 0 and an invertible linear term.  Newton
-        iteration h <- h - (f(h) - x)/f'(h) doubles the number of correct
-        coefficients each round, so a handful of rounds suffice.
+        Requires constant term 0 and an invertible linear term.  By
+        Lagrange inversion, with phi = x / self(x),
+
+            [x^k] h = (1/k) [x^{k-1}] phi^k,
+
+        so one series inverse and the powers of phi give every
+        coefficient, with no composition.  The result is then checked
+        exactly against self(h) = x.
         """
         n = self.order
         if n < 2:
@@ -238,21 +228,53 @@ class TruncSeries:
             raise ValueError("reversion requires constant term 0")
         if self.coeffs[1].is_zero:
             raise ValueError("reversion requires an invertible linear term")
-        # f' is known one order short; the padded top coefficient only
-        # touches the product with a valuation >= 2 factor, beyond the window
-        fprime = self.derivative()._padded(n)
-        ident = TruncSeries.x(n)
-        h = ident * self.coeffs[1].reciprocal()
-        for _ in range(n.bit_length() + 2):
-            err = self.compose(h) - ident
-            if err.is_zero:
-                return h
-            h = h - err * fprime.compose(h).inverse()
-        raise ArithmeticError("series reversion did not converge")
+        # x^{k-1} with k <= n-1 is the highest coefficient read, so phi
+        # and its powers are needed one order short
+        phi = TruncSeries(n - 1, self.coeffs[1:]).inverse()
+        out = [RF_ZERO]
+        power = phi
+        for k in range(1, n):
+            out.append(power.coeffs[k - 1] / k)
+            if k + 1 < n:
+                power = power * phi
+        h = TruncSeries(n, out)
+        if self.compose(h) != TruncSeries.x(n):
+            raise ArithmeticError("series reversion failed its exact check")
+        return h
 
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.coeffs)
         return f"TruncSeries(order={self.order}, [{inner}])"
+
+
+def compose_all(outers: list[TruncSeries], inner: TruncSeries) -> list[TruncSeries]:
+    """Substitute ``inner`` (constant term 0) for ``x`` in each outer series.
+
+    The powers of ``inner`` are built once and shared.  inner^k vanishes
+    below x^k, so building them takes about a third of the coefficient
+    products of one Horner pass, and each further outer series only adds
+    scalar multiples of them.
+    """
+    n = inner.order
+    for outer in outers:
+        outer._same_order(inner)
+    if not inner.coeffs[0].is_zero:
+        raise ValueError("composition requires the inner series to vanish at 0")
+    powers = [TruncSeries.constant(n, RF_ONE)]
+    for _ in range(1, n):
+        powers.append(powers[-1] * inner)
+    results = []
+    for outer in outers:
+        out = [RF_ZERO] * n
+        for k, (a, power) in enumerate(zip(outer.coeffs, powers)):
+            if a.is_zero:
+                continue
+            for i in range(k, n):
+                b = power.coeffs[i]
+                if not b.is_zero:
+                    out[i] = out[i] + a * b
+        results.append(TruncSeries(n, out))
+    return results
 
 
 def egf_series(a: Rat | str, b: Rat | str, d: Rat | str, order: int) -> TruncSeries:

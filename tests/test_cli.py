@@ -180,6 +180,18 @@ def test_conjecture_rejects_non_log_convex_file(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("bad", [0.5, True, None])
+def test_conjecture_refuses_inexact_file_entries(tmp_path, capsys, bad):
+    path = tmp_path / "xs.json"
+    path.write_text(json.dumps([1, bad, "3/2", 3, 7, 20]))
+    code, out, err = run_cli(
+        capsys, "conjecture", "--triangle", "A", "--seq", str(path), "--nmax", "4"
+    )
+    assert code == 2
+    assert out == ""
+    assert "exact rational" in json.loads(err)["error"]
+
+
 # -- invert-moments ----------------------------------------------------------------------
 
 
@@ -202,6 +214,16 @@ def test_invert_moments_from_file(tmp_path, capsys):
     assert JFraction.from_json(payload["result"]["jfraction"]) == jf
 
 
+def test_invert_moments_accepts_integer_coefficient_lists(tmp_path, capsys):
+    jf = jacobi.jfraction_from_params(1, 1, 2, 4)
+    mu = jacobi.moments_by_motzkin_paths(jf, 8)
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([[int(c) for c in p] for p in mu.to_json()["mu"]]))
+    code, payload = run_json(capsys, "invert-moments", "--file", str(path))
+    assert code == 0
+    assert JFraction.from_json(payload["result"]["jfraction"]) == jf
+
+
 def test_invert_moments_scalar_file(tmp_path, capsys):
     # plain rational entries are accepted as constant moments
     path = tmp_path / "mu.json"
@@ -217,6 +239,26 @@ def test_invert_moments_rejects_degenerate_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "invert-moments", "--file", str(path))
     assert code == 2
     assert "depth" in err or "vanishes" in err
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [1, 0.1, True, 3],
+        ["1", 0.5, "2", "4"],
+        ["1", True, "2", "4"],
+        ["1", None, "2", "4"],
+        ["1", ["1", 0.25], "2", "4"],
+        ["1", [None], "2", "4"],
+    ],
+)
+def test_invert_moments_refuses_inexact_file_entries(tmp_path, capsys, entries):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(entries))
+    code, out, err = run_cli(capsys, "invert-moments", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "exact rational" in json.loads(err)["error"]
 
 
 def test_invert_moments_source_flags(capsys, tmp_path):

@@ -44,7 +44,7 @@ def test_strong_check_subsumes_plain_check():
     strong = check_strong_q_log_convex(mu)
     plain = check_q_log_convex(mu)
     assert strong.verdict and plain.verdict
-    assert strong.checked_range == (7, 7)
+    assert strong.checked_range == plain.checked_range == (1, 7)
 
 
 def test_strong_check_reports_distant_pairs():

@@ -131,6 +131,42 @@ def test_both_moment_routes_agree_on_polynomial_weights():
     assert a.mu == b.mu
 
 
+def test_cfrac_edge_counts_by_hand():
+    s0, s1 = QPoly(2, 1), QPoly(-1, 3)
+    for t1 in (ZERO, QPoly(0, 5)):
+        jf = JFraction((s0, s1), (t1,))
+        assert moments_by_cfrac_expansion(jf, 1).mu == (ONE,)
+        assert moments_by_cfrac_expansion(jf, 2).mu == (ONE, s0)
+        assert moments_by_cfrac_expansion(jf, 3).mu == (ONE, s0, s0 * s0 + t1)
+
+
+def test_cfrac_matches_motzkin_on_type_b_at_40_rows():
+    jf = jfraction_from_params(1, 1, 2, 40)
+    assert moments_by_cfrac_expansion(jf, 40) == moments_by_motzkin_paths(jf, 40)
+
+
+def test_cfrac_matches_motzkin_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    weight = st.lists(scalar, max_size=2).map(lambda cs: QPoly(*cs))
+    # about a third of the t's are exactly zero, which cuts the fraction
+    t_weight = st.one_of(st.just(ZERO), weight)
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(
+        st.integers(min_value=1, max_value=30),
+        st.lists(weight, min_size=15, max_size=15),
+        st.lists(t_weight, min_size=14, max_size=14),
+    )
+    def check(count, s, t):
+        depth = (count - 1) // 2 + 1
+        jf = JFraction(tuple(s[:depth]), tuple(t[: depth - 1]))
+        assert moments_by_cfrac_expansion(jf, count) == moments_by_motzkin_paths(jf, count)
+
+    check()
+
+
 def test_moments_need_enough_depth():
     jf = JFraction((ONE, ONE), (Q,))
     with pytest.raises(ValueError):

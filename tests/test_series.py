@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qeuler.algebra import QPoly, QRatFun
-from qeuler.series import TruncSeries, egf_polynomials, egf_series
+from qeuler.series import TruncSeries, compose_all, egf_polynomials, egf_series
 
 
 def _series(order, *scalars):
@@ -149,6 +149,43 @@ def test_reversion_round_trips_on_random_inputs():
         rev = f.reversion()
         assert f.compose(rev) == TruncSeries.x(6)
         assert rev.compose(f) == TruncSeries.x(6)
+
+
+def test_reversion_round_trips_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeff = st.lists(scalar, max_size=2).map(lambda cs: QRatFun(QPoly(*cs)))
+    linear = coeff.filter(lambda c: not c.is_zero)
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.integers(min_value=2, max_value=8), linear, st.lists(coeff, max_size=6))
+    def check(order, f1, rest):
+        f = TruncSeries(order, [QRatFun(0), f1, *rest[: order - 2]])
+        rev = f.reversion()
+        ident = TruncSeries.x(order)
+        assert f.compose(rev) == ident
+        assert rev.compose(f) == ident
+
+    check()
+
+
+def _horner(outer, inner):
+    result = TruncSeries.constant(outer.order, outer.coeffs[-1])
+    for c in reversed(outer.coeffs[:-1]):
+        result = result * inner + c
+    return result
+
+
+def test_compose_all_matches_horner():
+    rng = random.Random(4242)
+    inner = _rand_series(rng, 7, constant=0)
+    outers = [_rand_series(rng, 7) for _ in range(3)]
+    expected = [_horner(o, inner) for o in outers]
+    assert compose_all(outers, inner) == expected
+    assert [o.compose(inner) for o in outers] == expected
+    with pytest.raises(ValueError):
+        compose_all(outers, _rand_series(rng, 7, constant=1))
 
 
 # -- the generating function -------------------------------------------------
