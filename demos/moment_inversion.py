@@ -1,9 +1,13 @@
 """Recovering continued-fraction weights from raw moments.
 
-Gram-Schmidt against the moment functional reads s and t back off the
-orthogonal polynomials.  Feeding it the moments of a known family must
-return exactly the closed-form weights; feeding it degenerate moments
-must fail loudly instead of returning something plausible.
+The Chebyshev algorithm runs the three-term recurrence of the monic
+orthogonal polynomials Q_k on the mixed moments <Q_k, x^l> and reads s
+and t off quotients of them: s_0 + ... + s_k = <Q_k, x^(k+1)> / <Q_k, x^k>
+and t_k = <Q_k, x^k> / <Q_(k-1), x^(k-1)>.  Those identities hold for
+any weights, so when the weights are polynomials every division in
+Q[q] is exact.  Feeding it the moments of a known family must return
+exactly the closed-form weights; feeding it degenerate moments must
+fail loudly instead of returning something plausible.
 """
 
 from qeuler.algebra import QPoly

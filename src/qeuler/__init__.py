@@ -10,7 +10,7 @@ nothing here ever rounds.
 
 __version__ = "0.1.0"
 
-from .algebra import NEG_INF, QPoly, QRatFun, as_fraction, parse_rational, poly_gcd
+from .algebra import NEG_INF, QPoly, QRatFun, as_fraction, parse_rational, poly_divmod, poly_gcd
 from .convexity import (
     BUILTIN_SEQUENCES,
     ConvexityReport,
@@ -71,6 +71,7 @@ __all__ = [
     "QRatFun",
     "as_fraction",
     "parse_rational",
+    "poly_divmod",
     "poly_gcd",
     "TruncSeries",
     "compose_all",

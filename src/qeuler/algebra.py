@@ -27,6 +27,7 @@ __all__ = [
     "as_fraction",
     "QPoly",
     "QRatFun",
+    "poly_divmod",
     "poly_gcd",
     "ZERO",
     "ONE",
@@ -287,7 +288,11 @@ ONE = QPoly(1)
 Q = QPoly(0, 1)
 
 
-def _poly_divmod(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
+def poly_divmod(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
+    """Quotient and remainder of ``f`` by ``g`` over Q, deg(rem) < deg(g).
+
+    ``g`` divides ``f`` in Q[q] exactly when the remainder is zero.
+    """
     if g.is_zero:
         raise ZeroDivisionError("polynomial division by zero polynomial")
     rem = list(f.coeffs)
@@ -308,7 +313,7 @@ def _poly_divmod(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
 
 
 def _poly_exact_div(f: QPoly, g: QPoly) -> QPoly:
-    q, r = _poly_divmod(f, g)
+    q, r = poly_divmod(f, g)
     if not r.is_zero:
         raise ArithmeticError("inexact polynomial division where exactness was promised")
     return q
@@ -326,7 +331,7 @@ def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
     if (f.coeffs and f.degree == 0) or (g.coeffs and g.degree == 0):
         return ONE
     while not g.is_zero:
-        f, g = g, _poly_divmod(f, g)[1]
+        f, g = g, poly_divmod(f, g)[1]
         if not g.is_zero and g.degree == 0:
             return ONE
         if not g.is_zero:

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 from .algebra import QPoly, Rat, as_fraction
 from .families import eulerian_numbers_type_a, eulerian_numbers_type_b
-from .jacobi import JFraction
+from .jacobi import JFraction, jfraction_from_params
 
 __all__ = [
     "Witness",
@@ -206,12 +206,8 @@ def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
     if i < 0:
         raise ValueError("i must be >= 0")
     fa, fb, fd = as_fraction(a), as_fraction(b), as_fraction(d)
-
-    def s(k: int) -> QPoly:
-        return QPoly(fd * k + fa * fb, fd * k + fb * fd - fa * fb)
-
-    t_next = QPoly(0, fd * fd * (i + 1) * (i + fb))
-    gap = s(i) * s(i + 1) - t_next
+    jf = jfraction_from_params(fa, fb, fd, i + 2)
+    gap = jf.s[i] * jf.s[i + 1] - jf.t[i]
     bound = QPoly(
         (fd * i + fa * fb) * (fd * i + fd + fa * fb),
         fa * fb * fb * fd - fa * fa * fb * fb,

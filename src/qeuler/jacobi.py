@@ -21,16 +21,21 @@ Three independent computations meet here and must agree exactly:
 
     Q_{n+1}(x) = (x - s_n) Q_n(x) - t_n Q_{n-1}(x)
 
-and ``jfraction_from_moments`` inverts moments back to weights by
-Gram-Schmidt against the moment functional, failing loudly when a norm
-vanishes (the functional is not quasi-definite).
+and ``jfraction_from_moments`` inverts moments back to weights by the
+Chebyshev algorithm (Gautschi 2004, section 2.1): the same recurrence
+run on the mixed moments sigma_{k,l} = <Q_k, x^l>, which needs only
+polynomial products and exact divisions in Q[q].  Its quotients are
+identically s_0 + ... + s_k and t_k, so when the weights are
+polynomials every division leaves no remainder; a remainder is refused
+rather than carried as a rational function, and a vanishing norm
+<Q_k, x^k> means the functional is not quasi-definite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ONE, QPoly, QRatFun, RF_ONE, RF_ZERO, ZERO
+from .algebra import ONE, QPoly, ZERO, poly_divmod
 
 __all__ = [
     "JFraction",
@@ -47,7 +52,7 @@ __all__ = [
 
 
 class NonQuasiDefiniteError(ValueError):
-    """A Gram-Schmidt norm vanished: the functional has no J-fraction."""
+    """A norm <Q_k, x^k> vanished: the functional has no J-fraction."""
 
 
 def _as_qpoly(value) -> QPoly:
@@ -279,72 +284,81 @@ def verify_orthogonality(basis: OrthoBasis, moments: MomentSeq) -> bool:
     return True
 
 
-def _inner(f: list[QRatFun], g: list[QRatFun], mu: list[QRatFun]) -> QRatFun:
-    acc = RF_ZERO
-    for i, fi in enumerate(f):
-        if fi.is_zero:
-            continue
-        for j, gj in enumerate(g):
-            if not gj.is_zero:
-                acc = acc + fi * gj * mu[i + j]
-    return acc
-
-
 def jfraction_from_moments(moments: MomentSeq, depth: int | None = None) -> JFraction:
-    """Recover (s, t) from moments by Gram-Schmidt against the functional.
+    """Recover (s, t) from moments by the Chebyshev algorithm.
 
-    s_n = <x Q_n, Q_n> / <Q_n, Q_n> and t_n = <Q_n, Q_n> / <Q_{n-1}, Q_{n-1}>,
-    which needs moments up to index 2*depth - 1; a vanishing norm on the
-    way raises ``NonQuasiDefiniteError``.  The convention mu_0 = 1 is
-    enforced because the leading "1/(1 - ...)" of the fraction cannot
-    carry a scale factor.
+    The mixed moments sigma_{k,l} = <Q_k, x^l> of the monic orthogonal
+    polynomials follow from the three-term recurrence of the Q_k:
+
+        sigma_{0,l} = mu_l,
+        sigma_{k,l} = sigma_{k-1,l+1} - s_{k-1} sigma_{k-1,l}
+                      - t_{k-1} sigma_{k-2,l}          (no t term at k = 1),
+
+    for k <= l <= 2*depth - 1 - k, so moments up to index 2*depth - 1
+    are needed and only two rows are kept.  Orthogonality leaves
+    <Q_k, Q_k> = sigma_{k,k}, the norm; when it vanishes the functional
+    is not quasi-definite and ``NonQuasiDefiniteError`` is raised.  As
+    Q_k = x^k - (s_0 + ... + s_{k-1}) x^{k-1} + ..., the quotient
+
+        a_k = sigma_{k,k+1} / sigma_{k,k} = s_0 + ... + s_k,
+
+    so s_k = a_k - a_{k-1}, and t_k = sigma_{k,k} / sigma_{k-1,k-1}.
+    Both quotients are exact divisions in Q[q] precisely when the
+    weights are polynomials; a remainder raises ``ValueError`` naming
+    the first nonpolynomial weight.  The cost is O(depth^2) polynomial
+    products and 2*depth - 1 divisions, with no rational functions and no
+    gcd.  The convention mu_0 = 1 is enforced because the leading
+    "1/(1 - ...)" of the fraction cannot carry a scale factor.
     """
-    mu_polys = moments.mu
-    if mu_polys[0] != ONE:
+    mu = moments.mu
+    if mu[0] != ONE:
         raise ValueError("moment inversion requires mu_0 = 1")
-    max_depth = len(mu_polys) // 2
+    max_depth = len(mu) // 2
     if depth is None:
         depth = max_depth
     if depth < 1:
         raise ValueError("depth must be positive")
     if depth > max_depth:
-        raise ValueError(
-            f"depth {depth} needs {2 * depth} moments, have {len(mu_polys)}"
-        )
-    mu = [QRatFun(m) for m in mu_polys]
+        raise ValueError(f"depth {depth} needs {2 * depth} moments, have {len(mu)}")
 
-    def to_poly(value: QRatFun, what: str) -> QPoly:
-        try:
-            return value.as_poly()
-        except ValueError as exc:
-            raise ValueError(f"moment inversion produced a nonpolynomial {what}: {value!r}") from exc
+    def nonpolynomial(what: str, num: QPoly, den: QPoly) -> ValueError:
+        return ValueError(f"moment inversion produced a nonpolynomial {what}: ({num}) / ({den})")
 
+    width = 2 * depth
+    # rows of sigma indexed by l; entries below l = k are never read
+    older: list[QPoly] = []
+    row: list[QPoly] = list(mu[:width])
     s_out: list[QPoly] = []
     t_out: list[QPoly] = []
-    q_prev: list[QRatFun] | None = None
-    q_cur: list[QRatFun] = [RF_ONE]
-    norm_prev: QRatFun | None = None
-    for n in range(depth):
-        norm_cur = _inner(q_cur, q_cur, mu)
-        if norm_cur.is_zero:
+    norm_prev = ONE
+    partial = ZERO  # a_{k-1} = s_0 + ... + s_{k-1}
+    for k in range(depth):
+        if k:
+            s = s_out[-1]
+            t = t_out[-1] if k > 1 else ZERO
+            nxt = [ZERO] * width
+            for l in range(k, width - k):
+                acc = row[l + 1]
+                if not s.is_zero and not row[l].is_zero:
+                    acc = acc - s * row[l]
+                if not t.is_zero and not older[l].is_zero:
+                    acc = acc - t * older[l]
+                nxt[l] = acc
+            older, row = row, nxt
+        norm = row[k]
+        if norm.is_zero:
             raise NonQuasiDefiniteError(
-                f"norm of Q_{n} vanishes; no J-fraction of depth {depth} exists"
+                f"norm of Q_{k} vanishes; no J-fraction of depth {depth} exists"
             )
-        x_q_cur = [RF_ZERO] + q_cur
-        s_rf = _inner(x_q_cur, q_cur, mu) / norm_cur
-        s_out.append(to_poly(s_rf, f"s_{n}"))
-        t_rf: QRatFun | None = None
-        if n:
-            t_rf = norm_cur / norm_prev
-            t_out.append(to_poly(t_rf, f"t_{n}"))
-        if n + 1 < depth:
-            nxt: list[QRatFun] = [RF_ZERO] * (n + 2)
-            for k, ck in enumerate(q_cur):
-                nxt[k + 1] = nxt[k + 1] + ck
-                nxt[k] = nxt[k] - s_rf * ck
-            if q_prev is not None:
-                for k, ck in enumerate(q_prev):
-                    nxt[k] = nxt[k] - t_rf * ck
-            q_prev, q_cur = q_cur, nxt
-        norm_prev = norm_cur
+        a, rem = poly_divmod(row[k + 1], norm)
+        if not rem.is_zero:
+            raise nonpolynomial(f"s_{k}", row[k + 1] - partial * norm, norm)
+        s_out.append(a - partial)
+        partial = a
+        if k:
+            ratio, rem = poly_divmod(norm, norm_prev)
+            if not rem.is_zero:
+                raise nonpolynomial(f"t_{k}", norm, norm_prev)
+            t_out.append(ratio)
+        norm_prev = norm
     return JFraction(tuple(s_out), tuple(t_out))

@@ -11,6 +11,7 @@ from qeuler.algebra import (
     QRatFun,
     as_fraction,
     parse_rational,
+    poly_divmod,
     poly_gcd,
 )
 
@@ -168,6 +169,19 @@ def test_poly_gcd_coprime_and_degenerate_inputs():
     assert poly_gcd(QPoly(), QPoly(0, 2)) == QPoly(0, 1)
     with pytest.raises(ValueError):
         poly_gcd(QPoly(), QPoly())
+
+
+def test_poly_divmod_reconstructs_the_dividend():
+    rng = random.Random(4417)
+    for _ in range(40):
+        f = _rand_poly(rng, 6)
+        g = _rand_poly(rng, 3, allow_zero=False)
+        quot, rem = poly_divmod(f, g)
+        assert quot * g + rem == f
+        assert rem.degree < g.degree
+        assert poly_divmod(f * g, g) == (f, QPoly())
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(QPoly(1), QPoly())
 
 
 def test_poly_gcd_divides_both_on_random_inputs():

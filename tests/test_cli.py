@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, JSON shape, determinism, selftest."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +243,16 @@ def test_invert_moments_rejects_degenerate_file(tmp_path, capsys):
     assert "depth" in err or "vanishes" in err
 
 
+def test_invert_moments_refuses_nonpolynomial_weights(tmp_path, capsys):
+    # mu = (1, q, q, 0) forces s_1 = (q^2 - 2q)/(1 - q)
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([["1"], ["0", "1"], ["0", "1"], ["0"]]))
+    code, out, err = run_cli(capsys, "invert-moments", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "nonpolynomial s_1" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize(
     "entries",
     [
@@ -334,11 +346,15 @@ def test_envelope_has_version_but_no_timestamps(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the qeuler under test, whether or not it is installed
+    src = str(Path(jacobi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qeuler", "table", "--family", "TypeB", "--nmax", "3",
          "--route", "enum"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["rows"][2] == ["1", "6", "1"]

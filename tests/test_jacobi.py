@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qeuler.algebra import QPoly
+from qeuler.families import Family, FamilySpec, family_egf_params
 from qeuler.jacobi import (
     JFraction,
     MomentSeq,
@@ -252,3 +253,68 @@ def test_nonpolynomial_weights_are_reported():
     mu = MomentSeq((ONE, Q, Q, ZERO))
     with pytest.raises(ValueError, match="nonpolynomial"):
         jfraction_from_moments(mu, 2)
+
+
+def test_inversion_property_round_trip_or_first_vanishing_norm():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    weight = st.lists(scalar, max_size=3).map(lambda cs: QPoly(*cs))
+    nonzero = weight.filter(lambda w: not w.is_zero)
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(
+        st.integers(min_value=1, max_value=7),
+        st.lists(weight, min_size=7, max_size=7),
+        st.lists(nonzero, min_size=6, max_size=6),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    )
+    def check(depth, s, t, first_zero):
+        # t_{first_zero} = 0 makes the functional degenerate from Q_{first_zero} on
+        t = t[: depth - 1]
+        if first_zero is not None and first_zero < depth:
+            t[first_zero - 1] = ZERO
+        jf = JFraction(tuple(s[:depth]), tuple(t))
+        mu = moments_by_motzkin_paths(jf, 2 * depth)
+        if ZERO not in t:
+            assert jfraction_from_moments(mu, depth) == jf
+        else:
+            with pytest.raises(NonQuasiDefiniteError, match=rf"norm of Q_{first_zero} vanishes"):
+                jfraction_from_moments(mu, depth)
+
+    check()
+
+
+def test_inversion_of_type_b_at_depth_30():
+    jf = jfraction_from_params(*family_egf_params(FamilySpec(Family.TYPE_B)), 30)
+    assert jfraction_from_moments(moments_by_motzkin_paths(jf, 60), 30) == jf
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec(Family.TYPE_A),
+        FamilySpec(Family.TYPE_A_SHIFTED),
+        FamilySpec(Family.TYPE_A_QT, t=Fraction(4, 3)),
+        FamilySpec(Family.TYPE_B),
+        FamilySpec(Family.TYPE_B_QT, t=Fraction(5, 4)),
+        FamilySpec(Family.GENERAL, a=Fraction(2, 3), d=Fraction(5, 3)),
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_recovered_weights_orthogonalize_the_family_moments(spec):
+    # the Gram-Schmidt definition: the basis built from the recovered
+    # weights must be orthogonal for the moments they came from
+    mu = moments_by_motzkin_paths(jfraction_from_params(*family_egf_params(spec), 8), 16)
+    recovered = jfraction_from_moments(mu, 8)
+    assert verify_orthogonality(orthogonal_basis(recovered, 8), mu)
+
+
+def test_recovered_weights_orthogonalize_random_moments():
+    rng = random.Random(51017)
+    for depth in range(1, 7):
+        jf = _numeric_jfraction(rng, depth)
+        jf = JFraction(tuple(w + QPoly(0, rng.randint(-2, 2)) for w in jf.s), jf.t)
+        mu = moments_by_motzkin_paths(jf, 2 * depth)
+        recovered = jfraction_from_moments(mu, depth)
+        assert verify_orthogonality(orthogonal_basis(recovered, depth), mu)
