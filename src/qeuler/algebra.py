@@ -3,11 +3,18 @@
 Everything downstream (series expansion, Riordan arrays, continued
 fractions, convexity checks) runs on the two classes defined here:
 
-* ``QPoly``    -- a dense polynomial in the formal variable ``q`` with
-  ``fractions.Fraction`` coefficients, immutable, trailing zeros stripped.
+* ``QPoly``    -- a dense, immutable polynomial in the formal variable
+  ``q`` with rational coefficients, stored as integer numerators over one
+  positive common denominator.  The form is canonical (gcd of the
+  denominator and all numerators is 1, trailing zeros are stripped), so
+  sums, products, scalar division, sign tests, equality and hashing all
+  run on Python ints.  ``QPoly.coeffs`` is a view that builds the
+  ``fractions.Fraction`` coefficients when asked.
 * ``QRatFun``  -- a quotient of two ``QPoly`` in canonical form: the
   denominator is monic, the fraction is fully reduced, and a zero
-  numerator forces denominator 1.
+  numerator forces denominator 1.  Its gcds and exact divisions
+  (``poly_gcd``, ``poly_divmod``) run on integers too: ``poly_divmod``
+  pseudo-divides the numerators and reduces once at the end.
 
 No floating point enters at any stage.  Rationals serialize as ``"p/q"``
 (or ``"p"`` when the denominator is 1), which is exactly ``str()`` of a
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "Rat",
@@ -82,18 +90,26 @@ class QPoly:
 
     ``QPoly(1, 4, 1)`` is ``1 + 4q + q^2``.  Coefficients may be ints,
     ``Fraction``s, or literal strings like ``"3/2"``.  Instances are
-    value objects: equal iff their (normalized) coefficient tuples are.
+    immutable value objects.
+
+    The coefficients are stored as a tuple of integer numerators
+    ``_num`` over one integer denominator ``_den > 0``, in canonical
+    form: gcd(``_den``, every numerator) = 1, no trailing zero
+    numerators, and zero is ``((), 1)``.  Equal polynomials therefore
+    have equal storage, and every ring operation, sign test and
+    comparison runs on Python ints.  ``coeffs`` is a view: the tuple of
+    reduced ``Fraction`` coefficients, built on each access.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
-    coeffs: tuple[Fraction, ...]
+    _num: tuple[int, ...]
+    _den: int
 
     def __init__(self, *coeffs: Rat | str):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        _set_parts(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QPoly is immutable")
@@ -102,34 +118,42 @@ class QPoly:
     def from_coeffs(cls, coeffs) -> "QPoly":
         return cls(*coeffs)
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced ``Fraction``s, constant term first."""
+        den = self._den
+        if den == 1:
+            return tuple(map(Fraction, self._num))
+        return tuple(Fraction(n, den) for n in self._num)
+
     # -- basic queries ------------------------------------------------
 
     @property
     def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._num) - 1 if self._num else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     @property
     def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self._num[0], self._den) if self._num else Fraction(0)
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of ``q^k``; zero beyond the stored degree."""
         if k < 0:
             raise ValueError("negative power")
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+        return Fraction(self._num[k], self._den) if k < len(self._num) else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QPoly):
@@ -137,13 +161,13 @@ class QPoly:
             if coerced is None:
                 return NotImplemented
             other = coerced
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
         # constants hash like the scalar they equal
-        if self.degree <= 0:
+        if len(self._num) <= 1:
             return hash(self.constant)
-        return hash(("QPoly", self.coeffs))
+        return hash(("QPoly", self._num, self._den))
 
     # -- ring operations ----------------------------------------------
 
@@ -159,18 +183,25 @@ class QPoly:
         o = QPoly._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self._num, o._num
+        den, odn = self._den, o._den
+        if den != odn:
+            # bring both over lcm(den, odn)
+            g = gcd(den, odn)
+            a = [c * (odn // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den = den // g * odn
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(*out)
+        return _from_parts(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly(*(-c for c in self.coeffs))
+        return _from_parts([-c for c in self._num], self._den)
 
     def __sub__(self, other: object) -> "QPoly":
         o = QPoly._coerce(other)
@@ -188,17 +219,17 @@ class QPoly:
         o = QPoly._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self._num, o._num
         if not a or not b:
             return ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-        return QPoly(*out)
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, cb in enumerate(b):
+            if cb:
+                for j, ca in enumerate(a, i):
+                    out[j] += ca * cb
+        return _from_parts(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -208,7 +239,11 @@ class QPoly:
             c = as_fraction(other)
             if not c:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            return QPoly(*(x / c for x in self.coeffs))
+            # (n_i / den) / (p / r) = n_i r / (den p), with the sign moved up
+            p, r = c.numerator, c.denominator
+            if p < 0:
+                p, r = -p, -r
+            return _from_parts([n * r for n in self._num], self._den * p)
         return NotImplemented
 
     def __pow__(self, n: int) -> "QPoly":
@@ -234,11 +269,12 @@ class QPoly:
 
     def derivative(self) -> "QPoly":
         """Formal d/dq."""
-        return QPoly(*(k * c for k, c in enumerate(self.coeffs) if k))
+        return _from_parts([k * c for k, c in enumerate(self._num) if k], self._den)
 
     def is_nonneg(self) -> bool:
         """True iff every coefficient is >= 0 (written ``f >=_q 0``)."""
-        return all(c >= 0 for c in self.coeffs)
+        # the denominator is positive, so the numerators carry the signs
+        return all(c >= 0 for c in self._num)
 
     def monic(self) -> "QPoly":
         return self / self.lead
@@ -247,9 +283,9 @@ class QPoly:
         """Exact division by ``q**power``; raises unless divisible."""
         if power < 0:
             raise ValueError("negative power")
-        if any(self.coeffs[:power]):
+        if any(self._num[:power]):
             raise ValueError(f"{self!r} is not divisible by q^{power}")
-        return QPoly(*self.coeffs[power:]) if power else self
+        return _from_parts(list(self._num[power:]), self._den) if power else self
 
     # -- serialization --------------------------------------------------
 
@@ -261,7 +297,7 @@ class QPoly:
         return cls(*(parse_rational(c) for c in data))
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self._num:
             return "0"
         parts: list[str] = []
         for k, c in enumerate(self.coeffs):
@@ -283,6 +319,28 @@ class QPoly:
         return f"QPoly({str(self)})"
 
 
+def _set_parts(poly: QPoly, num: list[int], den: int) -> None:
+    """Store ``num / den`` (``den > 0``) in ``poly`` in canonical form."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [c // g for c in num]
+    object.__setattr__(poly, "_num", tuple(num))
+    object.__setattr__(poly, "_den", den)
+
+
+def _from_parts(num: list[int], den: int) -> QPoly:
+    """The polynomial with numerators ``num`` over ``den > 0``; takes ``num``."""
+    poly = object.__new__(QPoly)
+    _set_parts(poly, num, den)
+    return poly
+
+
 ZERO = QPoly()
 ONE = QPoly(1)
 Q = QPoly(0, 1)
@@ -295,21 +353,31 @@ def poly_divmod(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
     """
     if g.is_zero:
         raise ZeroDivisionError("polynomial division by zero polynomial")
-    rem = list(f.coeffs)
-    dg = len(g.coeffs) - 1
-    glead = g.coeffs[-1]
-    if len(rem) - 1 < dg:
+    num, div = list(f._num), g._num
+    dg = len(div) - 1
+    if len(num) - 1 < dg:
         return ZERO, f
-    quot = [Fraction(0)] * (len(rem) - dg)
-    for top in range(len(rem) - 1, dg - 1, -1):
-        c = rem[top]
+    # Sparse pseudo-division on the numerators, keeping
+    # scale * num(f) = quot * num(g) + rem with scale a power of lead(num(g)).
+    lead = div[-1]
+    quot = [0] * (len(num) - dg)
+    scale = 1
+    for top in range(len(num) - 1, dg - 1, -1):
+        c = num[top]
         if not c:
             continue
-        factor = c / glead
-        quot[top - dg] = factor
-        for i, gc in enumerate(g.coeffs):
-            rem[top - dg + i] -= factor * gc
-    return QPoly(*quot), QPoly(*rem[:dg])
+        num = [lead * x for x in num]
+        quot = [lead * x for x in quot]
+        quot[top - dg] = c
+        for i, gc in enumerate(div, top - dg):
+            num[i] -= c * gc
+        scale *= lead
+    # f = num(f)/f.den and g = num(g)/g.den, so
+    # f = (quot g.den / (scale f.den)) g + rem / (scale f.den)
+    den = scale * f._den
+    if den < 0:
+        den, quot, num = -den, [-x for x in quot], [-x for x in num]
+    return _from_parts([x * g._den for x in quot], den), _from_parts(num[:dg], den)
 
 
 def _poly_exact_div(f: QPoly, g: QPoly) -> QPoly:

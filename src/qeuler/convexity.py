@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .algebra import QPoly, Rat, as_fraction
-from .families import eulerian_numbers_type_a, eulerian_numbers_type_b
+from .families import eulerian_rows_type_a, eulerian_rows_type_b
 from .jacobi import JFraction, jfraction_from_params
 
 __all__ = [
@@ -90,7 +90,8 @@ class CriterionReport(ConvexityReport):
 
 
 def _first_negative(poly: QPoly) -> int:
-    for k, c in enumerate(poly.coeffs):
+    # the common denominator is positive, so the numerators carry the signs
+    for k, c in enumerate(poly._num):
         if c < 0:
             return k
     raise ValueError("polynomial has no negative coefficient")
@@ -225,8 +226,8 @@ class Triangle(enum.Enum):
 
 
 _TRIANGLE_ROWS = {
-    Triangle.EULERIAN_A: eulerian_numbers_type_a,
-    Triangle.EULERIAN_B: eulerian_numbers_type_b,
+    Triangle.EULERIAN_A: eulerian_rows_type_a,
+    Triangle.EULERIAN_B: eulerian_rows_type_b,
 }
 
 
@@ -269,10 +270,8 @@ def transform_log_convexity_experiment(
     for k in range(1, n_max):
         if values[k] * values[k] > values[k - 1] * values[k + 1]:
             raise ValueError(f"input is not log-convex at index {k}")
-    rows = _TRIANGLE_ROWS[triangle]
     z: list[Fraction] = []
-    for n in range(n_max + 1):
-        row = rows(n)
+    for n, row in enumerate(_TRIANGLE_ROWS[triangle](n_max)):
         z.append(sum((row[k] * values[k] for k in range(n + 1)), Fraction(0)))
     witnesses = tuple(
         n for n in range(1, n_max) if z[n] * z[n] > z[n - 1] * z[n + 1]

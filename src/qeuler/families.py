@@ -23,10 +23,12 @@ polynomial is q times the descent polynomial for n >= 1.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from typing import Iterator
 
 from .algebra import ONE, Q, QPoly, Rat, as_fraction
 
@@ -39,6 +41,8 @@ __all__ = [
     "descent_polynomial",
     "excedance_cycle_polynomial",
     "signed_descent_polynomial",
+    "eulerian_rows_type_a",
+    "eulerian_rows_type_b",
     "eulerian_numbers_type_a",
     "eulerian_numbers_type_b",
     "type_b_polynomial",
@@ -203,15 +207,16 @@ def signed_descent_polynomial(n: int, t: Rat | str, cap: int = SIGNED_CAP) -> QP
 # -- recurrences -------------------------------------------------------------
 
 
-def eulerian_numbers_type_a(n: int) -> list[int]:
-    """Row n of the descent triangle of S_n (length n+1, trailing 0 for n>=1).
+def eulerian_rows_type_a(n_max: int) -> Iterator[list[int]]:
+    """Rows 0 .. n_max of the descent triangle of S_n, in one pass.
 
-    A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1), A(0, 0) = 1.
+    A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1), A(0, 0) = 1.  Row n
+    has length n+1 (a trailing 0 for n >= 1); the next row is built from
+    the one yielded, so callers must not modify it.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     row = [1]
-    for m in range(1, n + 1):
+    yield row
+    for m in range(1, n_max + 1):
         new = [0] * (m + 1)
         for k in range(m + 1):
             acc = 0
@@ -221,18 +226,18 @@ def eulerian_numbers_type_a(n: int) -> list[int]:
                 acc += (m - k) * row[k - 1]
             new[k] = acc
         row = new
-    return row
+        yield row
 
 
-def eulerian_numbers_type_b(n: int) -> list[int]:
-    """Row n of the signed-descent triangle (length n+1).
+def eulerian_rows_type_b(n_max: int) -> Iterator[list[int]]:
+    """Rows 0 .. n_max of the signed-descent triangle, in one pass.
 
     B(n, k) = (2k+1) B(n-1, k) + (2n-2k+1) B(n-1, k-1), B(0, 0) = 1.
+    Row n has length n+1; callers must not modify a yielded row.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     row = [1]
-    for m in range(1, n + 1):
+    yield row
+    for m in range(1, n_max + 1):
         new = [0] * (m + 1)
         for k in range(m + 1):
             acc = 0
@@ -242,7 +247,21 @@ def eulerian_numbers_type_b(n: int) -> list[int]:
                 acc += (2 * m - 2 * k + 1) * row[k - 1]
             new[k] = acc
         row = new
-    return row
+        yield row
+
+
+def eulerian_numbers_type_a(n: int) -> list[int]:
+    """Row n of the descent triangle of S_n (length n+1, trailing 0 for n>=1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return deque(eulerian_rows_type_a(n), maxlen=1).pop()
+
+
+def eulerian_numbers_type_b(n: int) -> list[int]:
+    """Row n of the signed-descent triangle (length n+1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return deque(eulerian_rows_type_b(n), maxlen=1).pop()
 
 
 def type_b_polynomial(n: int) -> QPoly:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import QPoly, QRatFun, Rat, RF_ONE, RF_ZERO, as_fraction
-from .series import TruncSeries, compose_all, egf_series
+from .series import TruncSeries, _egf_series_and_exp_d, compose_all
 
 __all__ = [
     "ExpRiordan",
@@ -198,12 +198,10 @@ def exp_riordan_from_params(a: Rat | str, b: Rat | str, d: Rat | str, order: int
     fd = as_fraction(d)
     if fd == 0:
         raise ValueError("d must be nonzero")
-    one_minus_q = QRatFun(QPoly(1, -1))
+    g, exp_d = _egf_series_and_exp_d(a, b, d, order)
     q = QRatFun(QPoly(0, 1))
-    x = TruncSeries.x(order)
-    exp_d = (x * (fd * one_minus_q)).exp()
     f = (exp_d - 1) * ((-(exp_d * q) + 1) * fd).inverse()
-    return ExpRiordan(egf_series(a, b, d, order), f)
+    return ExpRiordan(g, f)
 
 
 def riordan_matrix(arr: ExpRiordan) -> LowerTri:

@@ -8,6 +8,7 @@ import pytest
 from qeuler.algebra import (
     NEG_INF,
     QPoly,
+    ZERO,
     QRatFun,
     as_fraction,
     parse_rational,
@@ -137,6 +138,95 @@ def test_qpoly_ring_axioms_on_random_inputs():
         assert (f * g) * h == f * (g * h)
         assert f - f == 0
         assert f * 1 == f
+
+
+def test_qpoly_canonical_form_hand_cases():
+    assert QPoly(Fraction(1, 2), 1) * 2 == QPoly(1, 2)
+    assert QPoly(0, 0) == ZERO
+    assert hash(QPoly(Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert QPoly(Fraction(2, 4), Fraction(-6, 4)) == QPoly(Fraction(1, 2), Fraction(-3, 2))
+    assert QPoly(Fraction(1, 3), Fraction(1, 6)) + QPoly(Fraction(2, 3), Fraction(-1, 6)) == 1
+    assert (QPoly(Fraction(1, 2), Fraction(1, 2)) - QPoly(0, Fraction(1, 2))).coeffs == (
+        Fraction(1, 2),
+    )
+    assert QPoly(Fraction(3, 4), Fraction(9, 4)) / Fraction(-3, 4) == QPoly(-1, -3)
+    assert QPoly(0, 0, Fraction(1, 2)).derivative() == QPoly(0, 1)
+    assert QPoly(0, Fraction(2, 3)).divide_by_q() == Fraction(2, 3)
+
+
+# A plain list of Fractions, trailing zeros stripped, is the reference ring.
+
+
+def _ref(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b, sign=1):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return _ref(out)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def test_qpoly_ring_laws_against_a_fraction_list_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60)
+    coeffs = st.lists(st.one_of(rational, st.just(Fraction(0))), max_size=7)
+    scalar = st.one_of(st.integers(min_value=-50, max_value=50), rational)
+    negative = st.fractions(max_value=Fraction(-1, 60), max_denominator=60)
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(coeffs, coeffs, coeffs, scalar, negative)
+    def check(ca, cb, cc, s, neg):
+        a, b = _ref(ca), _ref(cb)
+        f, g, h = QPoly(*ca), QPoly(*cb), QPoly(*cc)
+        rs = _ref([s])
+        for got, want in (
+            (f + g, _ref_add(a, b)),
+            (f - g, _ref_add(a, b, -1)),
+            (f * g, _ref_mul(a, b)),
+            (f + s, _ref_add(a, rs)),
+            (s + f, _ref_add(a, rs)),
+            (f - s, _ref_add(a, rs, -1)),
+            (s - f, _ref_add(rs, a, -1)),
+            (f * s, _ref_mul(a, rs)),
+            (s * f, _ref_mul(a, rs)),
+            (-f, _ref_add([], a, -1)),
+            (f / neg, [x / neg for x in a]),
+        ):
+            assert list(got.coeffs) == want
+            assert got == QPoly(*want)
+            assert hash(got) == hash(QPoly(*want))
+        assert f + g == g + f
+        assert f * g == g * f
+        assert (f + g) + h == f + (g + h)
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+        assert QPoly(*f.coeffs) == f
+        assert hash((f + g) - g) == hash(f)
+        if g:
+            quot, rem = poly_divmod(f, g)
+            assert quot * g + rem == f
+            assert rem.degree < g.degree
+        if f.degree <= 0:
+            assert f == f.constant
+            assert hash(f) == hash(f.constant)
+
+    check()
 
 
 def test_qpoly_str_forms():

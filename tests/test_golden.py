@@ -1,0 +1,71 @@
+"""Golden bytes: a fixed grid of CLI runs must print exactly these outputs.
+
+Each case runs ``cli.main`` in process and compares the exit code and
+the sha256 of stdout and stderr (joined by a NUL byte) with digests
+recorded from a known-good build.  Output bytes are the contract every
+change to the arithmetic core must keep; when a digest differs, diff
+the command's output against that build rather than updating the
+digest.
+"""
+
+import hashlib
+
+import pytest
+
+from qeuler import cli
+
+_TYPE_B = ("--family", "TypeB")
+_TYPE_A_QT = ("--family", "TypeA_qt", "--t", "4/3")
+_TYPE_B_QT = ("--family", "TypeB_qt", "--t", "5/3")
+_GENERAL = ("--family", "General", "--a", "2/3", "--d", "5/3")
+# a > d breaks the criterion's hypothesis, and the moments are not q-log-convex
+_GENERAL_BAD = ("--family", "General", "--a", "3", "--d", "1")
+
+GOLDEN = [
+    (("table", *_TYPE_B, "--nmax", "10", "--route", "egf"), 0,
+     "9ec4f05df83278a5e94a5306355dc4948ede687b5acc8a54b303317b05486157"),
+    (("table", *_TYPE_B_QT, "--nmax", "8", "--route", "cfrac"), 0,
+     "eeb58bd50bd7b9d55c787f298e7bf96e4275ad60a47296f12b6ec53c4c8b7b1d"),
+    (("table", *_GENERAL, "--nmax", "8", "--route", "recurrence", "--format", "text"), 0,
+     "fb6bf625c48a8475356755a59ad8298fe7c2fcb876d91c9c10cbebb4495f4355"),
+    (("table", *_TYPE_A_QT, "--nmax", "6", "--route", "enum"), 0,
+     "b1ce499b37b0d1eaf70c03379ea4293d21322a14a798561306dbf871ec5d528b"),
+    (("check", *_TYPE_B, "--mode", "strong", "--nmax", "12"), 0,
+     "5c86d805fcea511f06a2300a6cb9b1f2d80e4bd5fb335218b47c61ce031e7697"),
+    (("check", *_TYPE_A_QT, "--mode", "qlcx", "--nmax", "14", "--format", "text"), 0,
+     "bbe028755c1e0c59aec8c238e86a17401ef774ca024da03670ee3e49006d0578"),
+    (("check", *_TYPE_B_QT, "--mode", "zhu", "--imax", "30"), 0,
+     "8e867fee7902c091894a73e2c590d85a147a7f900740bdc90f1bff0b2e77b13c"),
+    (("check", *_GENERAL_BAD, "--mode", "strong", "--nmax", "10"), 1,
+     "e974c8e8fb9d16922f71b9c8d84af0cc5503a451660507777e3f72e2962eed4d"),
+    (("check", *_GENERAL_BAD, "--mode", "zhu", "--imax", "8", "--format", "text"), 1,
+     "69fe251767b02eb92d3e7328e489f012949f15b6fc2619d76f64d1488c117d0c"),
+    (("conjecture", "--triangle", "A", "--seq", "catalan", "--nmax", "30"), 0,
+     "5f15d5ca069e31ad09e4ce55e1f685761dacae78f489a9aa6cbc6500a3ef704e"),
+    (("conjecture", "--triangle", "B", "--seq", "motzkin", "--nmax", "20", "--format", "text"), 0,
+     "32ce343aed66c9429702f6eaf4f9e87a88623224103c498aed351b40fd9d882a"),
+    (("prodmat", *_TYPE_B_QT, "--order", "6"), 0,
+     "0eb7bc27e2b645e122cfcf6a54f40425531bfe8fdf6d46cc36b4b6f67944c36e"),
+    (("cfrac", *_GENERAL, "--depth", "6", "--format", "text"), 0,
+     "b2c1a23aeaad1906a57073268229f3176497f1aa1d3628e81a185e00fe9975ab"),
+    (("invert-moments", *_TYPE_A_QT, "--nmax", "12"), 0,
+     "caa041ab4c980f9463ca0f93501f390fabb174b4b548f5bd772a438542205e2b"),
+    (("selftest", "--nmax", "3"), 0,
+     "e3f750445f50feb18396503f169b396a0df7577b8c4899075a2d1522a47e9284"),
+    (("selftest", "--nmax", "3", "--format", "text"), 0,
+     "af2e6f1ff882cfd2bd3df99b50e39430330a82848c2449f2a2a53d0ed84f102c"),
+    (("table", "--family", "TypeA", "--nmax", "4", "--route", "recurrence"), 2,
+     "039d7c25bfac9cb621be65e26dcc7b98720ab060fff07db9ab12e67646df2cb5"),
+    (("invert-moments", "--family", "TypeA_qt", "--t", "0", "--nmax", "8"), 2,
+     "9f973b722667839fa131e6d90d01bd4cff81c6bceb480848c062e537ac64b4b6"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+)
+def test_cli_output_bytes_are_golden(argv, code, digest, capsys):
+    assert cli.main(list(argv)) == code
+    out, err = capsys.readouterr()
+    got = hashlib.sha256(out.encode() + b"\0" + err.encode()).hexdigest()
+    assert got == digest
