@@ -1,7 +1,7 @@
-"""Exact polynomial and rational-function arithmetic over the rationals.
+"""Exact polynomial arithmetic in Q[q], plus rational functions of q.
 
 Everything downstream (series expansion, Riordan arrays, continued
-fractions, convexity checks) runs on the two classes defined here:
+fractions, convexity checks) runs on ``QPoly`` and its exact division:
 
 * ``QPoly``    -- a dense, immutable polynomial in the formal variable
   ``q`` with rational coefficients, stored as integer numerators over one
@@ -10,11 +10,15 @@ fractions, convexity checks) runs on the two classes defined here:
   sums, products, scalar division, sign tests, equality and hashing all
   run on Python ints.  ``QPoly.coeffs`` is a view that builds the
   ``fractions.Fraction`` coefficients when asked.
+* ``poly_divmod`` -- quotient and remainder in Q[q] by integer
+  pseudo-division of the numerators, reduced once at the end.  Every
+  route divides only where the quotient must be a polynomial, and a
+  nonzero remainder refuses the input: each division is exact or
+  refused.
 * ``QRatFun``  -- a quotient of two ``QPoly`` in canonical form: the
-  denominator is monic, the fraction is fully reduced, and a zero
-  numerator forces denominator 1.  Its gcds and exact divisions
-  (``poly_gcd``, ``poly_divmod``) run on integers too: ``poly_divmod``
-  pseudo-divides the numerators and reduces once at the end.
+  denominator is monic, the fraction is fully reduced by ``poly_gcd``,
+  and a zero numerator forces denominator 1.  No route uses it; it
+  stays exported for library users.
 
 No floating point enters at any stage.  Rationals serialize as ``"p/q"``
 (or ``"p"`` when the denominator is 1), which is exactly ``str()`` of a
@@ -234,7 +238,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "QPoly":
-        # scalar division only; polynomial quotients live in QRatFun
+        # scalar division only; polynomial quotients go through poly_divmod
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             c = as_fraction(other)
             if not c:

@@ -30,6 +30,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .algebra import QPoly, Rat, as_fraction
@@ -123,17 +125,29 @@ def check_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
 
 
 def check_strong_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
-    """Check f_{m-1} f_{n+1} >=_q f_m f_n for all n >= m >= 1."""
+    """Check f_{m-1} f_{n+1} >=_q f_m f_n for all n >= m >= 1.
+
+    Both products of a pair have index sum sigma = m + n, so the pairs
+    are walked by anti-diagonals: along one sigma, P_i = f_i f_{sigma-i}
+    is formed once and serves as f_m f_n for the pair (i, sigma - i) and
+    as f_{m-1} f_{n+1} for the pair (i + 1, sigma - i - 1).  Witnesses
+    are reported in (m, n) order.
+    """
     polys = _as_poly_sequence(seq)
     if len(polys) < 3:
         raise ValueError("need at least three polynomials")
     witnesses: list[Witness] = []
     last = len(polys) - 2
-    for m in range(1, last + 1):
-        for n in range(m, last + 1):
-            diff = polys[m - 1] * polys[n + 1] - polys[m] * polys[n]
+    for sigma in range(2, 2 * last + 1):
+        low = max(1, sigma - last)
+        prev = polys[low - 1] * polys[sigma - low + 1]
+        for m in range(low, sigma // 2 + 1):
+            cur = polys[m] * polys[sigma - m]
+            diff = prev - cur
             if not diff.is_nonneg():
-                witnesses.append((m, n, _first_negative(diff)))
+                witnesses.append((m, sigma - m, _first_negative(diff)))
+            prev = cur
+    witnesses.sort()
     return ConvexityReport(
         verdict=not witnesses,
         witnesses=tuple(witnesses),
@@ -264,21 +278,23 @@ def transform_log_convexity_experiment(
     if len(values) < n_max + 1:
         raise ValueError(f"need x_0 .. x_{n_max}, got {len(values)} values")
     values = values[: n_max + 1]
-    for k, v in enumerate(values):
+    # over one common denominator D > 0, x_k = X_k / D and z_n = Z_n / D,
+    # so every sign test and comparison below runs on the integers X, Z
+    den = lcm(*(v.denominator for v in values))
+    xs_int = [v.numerator * (den // v.denominator) for v in values]
+    for k, v in enumerate(xs_int):
         if v < 0:
             raise ValueError(f"input is not nonnegative at index {k}")
     for k in range(1, n_max):
-        if values[k] * values[k] > values[k - 1] * values[k + 1]:
+        if xs_int[k] * xs_int[k] > xs_int[k - 1] * xs_int[k + 1]:
             raise ValueError(f"input is not log-convex at index {k}")
-    z: list[Fraction] = []
-    for n, row in enumerate(_TRIANGLE_ROWS[triangle](n_max)):
-        z.append(sum((row[k] * values[k] for k in range(n + 1)), Fraction(0)))
+    zs_int = [sum(map(mul, row, xs_int)) for row in _TRIANGLE_ROWS[triangle](n_max)]
     witnesses = tuple(
-        n for n in range(1, n_max) if z[n] * z[n] > z[n - 1] * z[n + 1]
+        n for n in range(1, n_max) if zs_int[n] * zs_int[n] > zs_int[n - 1] * zs_int[n + 1]
     )
     return TransformReport(
         triangle=triangle,
-        z=tuple(z),
+        z=tuple(Fraction(v, den) for v in zs_int),
         verdict=not witnesses,
         witnesses=witnesses,
     )

@@ -19,6 +19,13 @@ where ``fbar`` is the compositional inverse of ``f``, via
 Having both routes match, entry by entry, is one of the package's core
 cross-checks: a tridiagonal production matrix hands back exactly the
 Jacobi continued-fraction weights of the array's first column.
+
+Every entry and series coefficient is a ``QPoly`` in Q[q], and each
+division is exact or refused.  For the (a, b, d) family the divisor of
+f is d (1 - q e^{d(1-q)x}), a unit up to the factor (1 - q) that every
+numerator carries, and the diagonal of L is g_0 f_1^k = 1, so g, f,
+fbar, c, r and L all have polynomial coefficients.  JSON keeps the
+``{"num": ..., "den": ["1"]}`` form of an entry.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import QPoly, QRatFun, Rat, RF_ONE, RF_ZERO, as_fraction
-from .series import TruncSeries, _egf_series_and_exp_d, compose_all
+from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction
+from .series import TruncSeries, _coerce_poly, _egf_series_and_exp_d, compose_all
 
 __all__ = [
     "ExpRiordan",
@@ -64,20 +71,24 @@ class ExpRiordan:
         return self.g.order
 
 
+def _entry_json(entry: QPoly) -> dict[str, list[str]]:
+    return {"num": entry.to_json(), "den": ["1"]}
+
+
 class LowerTri:
-    """Square lower-triangular matrix with exact entries."""
+    """Square lower-triangular matrix with entries in Q[q]."""
 
     __slots__ = ("rows",)
 
-    rows: tuple[tuple[QRatFun, ...], ...]
+    rows: tuple[tuple[QPoly, ...], ...]
 
     def __init__(self, rows):
-        norm: list[tuple[QRatFun, ...]] = []
+        norm: list[tuple[QPoly, ...]] = []
         size = len(rows)
         for i, row in enumerate(rows):
             if len(row) != size:
                 raise ValueError("matrix must be square")
-            entries = tuple(e if isinstance(e, QRatFun) else QRatFun(e) for e in row)
+            entries = tuple(_coerce_poly(e) for e in row)
             if any(not e.is_zero for e in entries[i + 1 :]):
                 raise ValueError(f"row {i} has nonzero entries above the diagonal")
             norm.append(entries)
@@ -92,12 +103,12 @@ class LowerTri:
     def size(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> QRatFun:
+    def entry(self, i: int, j: int) -> QPoly:
         return self.rows[i][j]
 
     @classmethod
     def identity(cls, size: int) -> "LowerTri":
-        return cls([[RF_ONE if i == j else RF_ZERO for j in range(size)] for i in range(size)])
+        return cls([[ONE if i == j else ZERO for j in range(size)] for i in range(size)])
 
     def __matmul__(self, other: "LowerTri") -> "LowerTri":
         if self.size != other.size:
@@ -107,7 +118,7 @@ class LowerTri:
         for i in range(n):
             row = []
             for j in range(n):
-                acc = RF_ZERO
+                acc = ZERO
                 for k in range(j, i + 1):  # both factors triangular
                     a = self.rows[i][k]
                     b = other.rows[k][j]
@@ -126,7 +137,7 @@ class LowerTri:
         return hash(("LowerTri", self.rows))
 
     def to_json(self) -> list[list[dict]]:
-        return [[e.to_json() for e in row] for row in self.rows]
+        return [[_entry_json(e) for e in row] for row in self.rows]
 
     def __repr__(self) -> str:
         return f"LowerTri(size={self.size})"
@@ -143,7 +154,7 @@ class ProductionData:
     superdiagonal.
     """
 
-    entries: tuple[tuple[QRatFun, ...], ...]
+    entries: tuple[tuple[QPoly, ...], ...]
     tridiagonal: bool
     c: TruncSeries | None = None
     r: TruncSeries | None = None
@@ -156,33 +167,33 @@ class ProductionData:
     def ncols(self) -> int:
         return len(self.entries[0])
 
-    def entry(self, i: int, j: int) -> QRatFun:
+    def entry(self, i: int, j: int) -> QPoly:
         return self.entries[i][j]
 
     def s_values(self, count: int) -> list[QPoly]:
-        """Diagonal entries s_0 .. s_{count-1} as polynomials."""
+        """Diagonal entries s_0 .. s_{count-1}."""
         if count > self.nrows:
             raise ValueError(f"window holds only {self.nrows} diagonal entries")
-        return [self.entries[i][i].as_poly() for i in range(count)]
+        return [self.entries[i][i] for i in range(count)]
 
     def t_values(self, count: int) -> list[QPoly]:
-        """Subdiagonal entries t_1 .. t_count as polynomials."""
+        """Subdiagonal entries t_1 .. t_count."""
         if count > self.nrows - 1:
             raise ValueError(f"window holds only {self.nrows - 1} subdiagonal entries")
-        return [self.entries[i][i - 1].as_poly() for i in range(1, count + 1)]
+        return [self.entries[i][i - 1] for i in range(1, count + 1)]
 
     def to_json(self) -> dict:
         return {
-            "entries": [[e.to_json() for e in row] for row in self.entries],
+            "entries": [[_entry_json(e) for e in row] for row in self.entries],
             "tridiagonal": self.tridiagonal,
         }
 
 
-def _tridiagonal(entries: list[list[QRatFun]]) -> bool:
+def _tridiagonal(entries: list[list[QPoly]]) -> bool:
     for i, row in enumerate(entries):
         for j, e in enumerate(row):
             if j == i + 1:
-                if e != RF_ONE:
+                if e != ONE:
                     return False
             elif (j > i + 1 or j < i - 1) and not e.is_zero:
                 return False
@@ -193,14 +204,15 @@ def exp_riordan_from_params(a: Rat | str, b: Rat | str, d: Rat | str, order: int
     """The array [g, f] whose first column EGF is the (a, b, d) family.
 
     f = (e^{d(1-q)x} - 1) / (d (1 - q e^{d(1-q)x})); d = 0 would collapse
-    the kernel, so it is rejected.
+    the kernel, so it is rejected.  The divisor's constant term is
+    d (1 - q), and each numerator coefficient carries the factor (1 - q),
+    so the division is exact in Q[q].
     """
     fd = as_fraction(d)
     if fd == 0:
         raise ValueError("d must be nonzero")
     g, exp_d = _egf_series_and_exp_d(a, b, d, order)
-    q = QRatFun(QPoly(0, 1))
-    f = (exp_d - 1) * ((-(exp_d * q) + 1) * fd).inverse()
+    f = (exp_d - 1) / ((1 - exp_d * Q) * fd)
     return ExpRiordan(g, f)
 
 
@@ -210,7 +222,7 @@ def riordan_matrix(arr: ExpRiordan) -> LowerTri:
     fact = [1] * n
     for i in range(1, n):
         fact[i] = fact[i - 1] * i
-    rows = [[RF_ZERO] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
     col = arr.g
     for k in range(n):
         for i in range(k, n):
@@ -222,23 +234,32 @@ def riordan_matrix(arr: ExpRiordan) -> LowerTri:
 
 
 def lower_tri_inverse(mat: LowerTri) -> LowerTri:
-    """Inverse by forward substitution; diagonal must be invertible."""
+    """Inverse by forward substitution over Q[q].
+
+    Each diagonal entry must be a unit of Q[q], a nonzero rational, so
+    that every step divides exactly by a scalar; any other diagonal is
+    refused with ``ValueError``.
+    """
     n = mat.size
+    diag: list[Fraction] = []
     for i in range(n):
-        if mat.rows[i][i].is_zero:
+        e = mat.rows[i][i]
+        if e.is_zero:
             raise ValueError(f"diagonal entry {i} is zero; matrix not invertible")
-    inv = [[RF_ZERO] * n for _ in range(n)]
+        if e.degree != 0:
+            raise ValueError(f"diagonal entry {i} is {e}, not a unit of Q[q]")
+        diag.append(e.constant)
+    inv = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        diag = mat.rows[i][i].reciprocal()
-        inv[i][i] = diag
+        inv[i][i] = QPoly(1 / diag[i])
         for j in range(i - 1, -1, -1):
-            acc = RF_ZERO
+            acc = ZERO
             for k in range(j, i):
                 a = mat.rows[i][k]
                 b = inv[k][j]
                 if not a.is_zero and not b.is_zero:
                     acc = acc + a * b
-            inv[i][j] = -(acc * diag) if not acc.is_zero else RF_ZERO
+            inv[i][j] = -acc / diag[i]
     return LowerTri(inv)
 
 
@@ -254,7 +275,7 @@ def production_series(arr: ExpRiordan) -> tuple[TruncSeries, TruncSeries]:
     r, dg, g = compose_all(
         [arr.f.derivative(), arr.g.derivative(), arr.g.truncate(n - 1)], fbar
     )
-    return dg * g.inverse(), r
+    return dg / g, r
 
 
 def production_matrix_from_series(c: TruncSeries, r: TruncSeries) -> ProductionData:
@@ -273,15 +294,15 @@ def production_matrix_from_series(c: TruncSeries, r: TruncSeries) -> ProductionD
     fact = [1] * (ncols + 1)
     for i in range(1, ncols + 1):
         fact[i] = fact[i - 1] * i
-    entries: list[list[QRatFun]] = []
+    entries: list[list[QPoly]] = []
     for i in range(nrows):
         row = []
         for j in range(ncols):
             if j > i + 1:
-                row.append(RF_ZERO)
+                row.append(ZERO)
                 continue
             diff = i - j
-            term = c.coeffs[diff] if diff >= 0 else RF_ZERO
+            term = c.coeffs[diff] if diff >= 0 else ZERO
             if j:
                 term = term + j * r.coeffs[diff + 1]
             row.append(term * Fraction(fact[i], fact[j]))
@@ -304,14 +325,14 @@ def production_matrix_direct(mat: LowerTri) -> ProductionData:
     if n < 2:
         raise ValueError("need at least a 2x2 window")
     inv = lower_tri_inverse(mat)
-    entries: list[list[QRatFun]] = []
+    entries: list[list[QPoly]] = []
     for i in range(n - 1):
         row = []
         for j in range(n):
-            acc = RF_ZERO
+            acc = ZERO
             for k in range(max(0, j - 1), i + 1):
                 a = inv.rows[i][k]
-                b = mat.rows[k + 1][j] if j <= k + 1 else RF_ZERO
+                b = mat.rows[k + 1][j] if j <= k + 1 else ZERO
                 if not a.is_zero and not b.is_zero:
                     acc = acc + a * b
             row.append(acc)

@@ -1,39 +1,42 @@
-"""Truncated formal power series with exact rational-function coefficients.
+"""Truncated formal power series in x with coefficients in Q[q].
 
 A ``TruncSeries`` of order ``N`` stores the coefficients of
-``x^0 .. x^{N-1}`` as ``QRatFun`` values (rational functions in ``q``) and
-claims nothing about higher terms.  All operations are exact; results of
-binary operations require matching orders so that truncation windows are
-never silently mixed.
+``x^0 .. x^{N-1}`` as ``QPoly`` values (polynomials in ``q`` with
+rational coefficients) and claims nothing about higher terms.  All
+operations are exact; results of binary operations require matching
+orders so that truncation windows are never silently mixed.
+
+There is one series division, ``num / den``.  It solves h * den = num
+one x-coefficient at a time by an exact polynomial division by den's
+constant term, so each division is exact or refused: a quotient
+outside Q[q] raises ``ValueError`` naming the x-power and the
+quotient.  No rational functions of q are ever formed.
 
 The module also exposes the family of exponential generating functions
 
     g(x) = ( (1-q) * e^{a(1-q)x} / (1 - q e^{d(1-q)x}) )^b
 
 whose Taylor coefficients, scaled by n!, are the q-Eulerian polynomials
-that the rest of the package cross-checks by independent routes.
+that the rest of the package cross-checks by independent routes.  The
+divisor 1 - q e^{d(1-q)x} has x-constant term 1 - q, and every other
+x-coefficient of the numerator and divisor carries the factor (1 - q),
+so each quotient the expansion needs lies in Q[q].
 """
 
 from __future__ import annotations
 
-from .algebra import (
-    QPoly,
-    QRatFun,
-    Rat,
-    RF_ONE,
-    RF_ZERO,
-    as_fraction,
-)
+from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, poly_divmod
 
 __all__ = ["TruncSeries", "compose_all", "egf_series", "egf_polynomials"]
 
 
-def _coerce_rf(value) -> QRatFun:
-    if isinstance(value, QRatFun):
-        return value
-    if isinstance(value, QPoly):
-        return QRatFun(value)
-    return QRatFun(QPoly(as_fraction(value)))
+def _coerce_poly(value) -> QPoly:
+    poly = QPoly._coerce(value)
+    if poly is None:
+        raise TypeError(
+            f"coefficients in Q[q] are QPoly, int or Fraction, not {type(value).__name__}"
+        )
+    return poly
 
 
 class TruncSeries:
@@ -42,15 +45,15 @@ class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     order: int
-    coeffs: tuple[QRatFun, ...]
+    coeffs: tuple[QPoly, ...]
 
     def __init__(self, order: int, coeffs=()):
         if order < 1:
             raise ValueError("a truncated series needs at least the constant term")
-        cs = [_coerce_rf(c) for c in coeffs]
+        cs = [_coerce_poly(c) for c in coeffs]
         if len(cs) > order:
             raise ValueError(f"{len(cs)} coefficients exceed order {order}")
-        cs.extend([RF_ZERO] * (order - len(cs)))
+        cs.extend([ZERO] * (order - len(cs)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -64,7 +67,7 @@ class TruncSeries:
     @classmethod
     def x(cls, order: int) -> "TruncSeries":
         """The identity series ``x`` (truncated, so order 1 gives 0)."""
-        return cls(order, [RF_ZERO, RF_ONE] if order >= 2 else [RF_ZERO])
+        return cls(order, [ZERO, ONE] if order >= 2 else [ZERO])
 
     # -- queries ----------------------------------------------------------
 
@@ -72,7 +75,7 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
 
-    def coefficient(self, n: int) -> QRatFun:
+    def coefficient(self, n: int) -> QPoly:
         if not 0 <= n < self.order:
             raise IndexError(f"coefficient {n} outside truncation window {self.order}")
         return self.coeffs[n]
@@ -95,7 +98,7 @@ class TruncSeries:
         if isinstance(other, TruncSeries):
             self._same_order(other)
             return TruncSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-        return self + TruncSeries.constant(self.order, _coerce_rf(other))
+        return self + TruncSeries.constant(self.order, _coerce_poly(other))
 
     __radd__ = __add__
 
@@ -103,18 +106,18 @@ class TruncSeries:
         return TruncSeries(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncSeries) else -_coerce_rf(other))
+        return self + (-other if isinstance(other, TruncSeries) else -_coerce_poly(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            s = _coerce_rf(other)
+            s = _coerce_poly(other)
             return TruncSeries(self.order, [c * s for c in self.coeffs])
         self._same_order(other)
         n = self.order
-        out = [RF_ZERO] * n
+        out = [ZERO] * n
         for i, a in enumerate(self.coeffs):
             if a.is_zero:
                 continue
@@ -128,20 +131,45 @@ class TruncSeries:
 
     # -- multiplicative and compositional structure ---------------------------
 
-    def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        a = self.coeffs
-        if a[0].is_zero:
-            raise ValueError("series with zero constant term has no multiplicative inverse")
-        inv0 = a[0].reciprocal()
-        out = [inv0]
-        for m in range(1, self.order):
-            acc = RF_ZERO
+    def __truediv__(self, other):
+        """The series h with h * other = self, exact in Q[q] or refused.
+
+        With other = den, h_m = (self_m - sum_{k=1..m} den_k h_{m-k}) / den_0,
+        and each of these divisions by den's constant term must leave no
+        remainder; the first that does raises ``ValueError`` naming its
+        x-power and quotient.
+        """
+        if not isinstance(other, TruncSeries):
+            other = TruncSeries.constant(self.order, _coerce_poly(other))
+        self._same_order(other)
+        den = other.coeffs
+        lead = den[0]
+        if lead.is_zero:
+            raise ValueError("series division needs a divisor with nonzero constant term")
+        # a constant divisor divides as a scalar
+        scalar = lead.constant if lead.degree == 0 else None
+        out: list[QPoly] = []
+        for m, acc in enumerate(self.coeffs):
             for k in range(1, m + 1):
-                if not a[k].is_zero and not out[m - k].is_zero:
-                    acc = acc + a[k] * out[m - k]
-            out.append(-(acc * inv0) if not acc.is_zero else RF_ZERO)
+                if not den[k].is_zero and not out[m - k].is_zero:
+                    acc = acc - den[k] * out[m - k]
+            if scalar is not None:
+                out.append(acc / scalar)
+                continue
+            quot, rem = poly_divmod(acc, lead)
+            if not rem.is_zero:
+                raise ValueError(
+                    f"series division is not exact in Q[q] at x^{m}: ({acc}) / ({lead})"
+                )
+            out.append(quot)
         return TruncSeries(self.order, out)
+
+    def __rtruediv__(self, other):
+        return TruncSeries.constant(self.order, _coerce_poly(other)) / self
+
+    def inverse(self) -> "TruncSeries":
+        """Multiplicative inverse ``1 / self``, exact in Q[q] or refused."""
+        return 1 / self
 
     def exp(self) -> "TruncSeries":
         """Exponential; requires constant term 0.
@@ -152,9 +180,9 @@ class TruncSeries:
         a = self.coeffs
         if not a[0].is_zero:
             raise ValueError("exp of a series requires constant term 0")
-        out = [RF_ONE]
+        out = [ONE]
         for m in range(1, self.order):
-            acc = RF_ZERO
+            acc = ZERO
             for k in range(1, m + 1):
                 if not a[k].is_zero and not out[m - k].is_zero:
                     acc = acc + (k * a[k]) * out[m - k]
@@ -168,11 +196,11 @@ class TruncSeries:
         ``L_m = f_m - (1/m) sum_{k=1..m-1} k L_k f_{m-k}``.
         """
         a = self.coeffs
-        if a[0] != RF_ONE:
+        if a[0] != ONE:
             raise ValueError("log of a series requires constant term 1")
-        out = [RF_ZERO]
+        out = [ZERO]
         for m in range(1, self.order):
-            acc = RF_ZERO
+            acc = ZERO
             for k in range(1, m):
                 if not out[k].is_zero and not a[m - k].is_zero:
                     acc = acc + (k * out[k]) * a[m - k]
@@ -186,10 +214,10 @@ class TruncSeries:
         agrees with repeated multiplication.
         """
         e = as_fraction(exponent)
-        if self.coeffs[0] != RF_ONE:
+        if self.coeffs[0] != ONE:
             raise ValueError("pow requires constant term 1")
         if e == 0:
-            return TruncSeries.constant(self.order, RF_ONE)
+            return TruncSeries.constant(self.order, ONE)
         if e == 1:
             return self
         return (self.log() * e).exp()
@@ -212,12 +240,14 @@ class TruncSeries:
     def reversion(self) -> "TruncSeries":
         """Compositional inverse h with self(h(x)) = x.
 
-        Requires constant term 0 and an invertible linear term.  By
-        Lagrange inversion, with phi = x / self(x),
+        Requires constant term 0 and a linear term that is a unit of
+        Q[q], i.e. a nonzero rational; a linear term such as ``q`` has no
+        reversion with coefficients in Q[q].  By Lagrange inversion, with
+        phi = x / self(x),
 
             [x^k] h = (1/k) [x^{k-1}] phi^k,
 
-        so one series inverse and the powers of phi give every
+        so one series division and the powers of phi give every
         coefficient, with no composition.  The result is then checked
         exactly against self(h) = x.
         """
@@ -226,12 +256,12 @@ class TruncSeries:
             raise ValueError("reversion needs at least the linear term")
         if not self.coeffs[0].is_zero:
             raise ValueError("reversion requires constant term 0")
-        if self.coeffs[1].is_zero:
-            raise ValueError("reversion requires an invertible linear term")
+        if self.coeffs[1].degree != 0:
+            raise ValueError("reversion requires a nonzero rational linear term")
         # x^{k-1} with k <= n-1 is the highest coefficient read, so phi
         # and its powers are needed one order short
-        phi = TruncSeries(n - 1, self.coeffs[1:]).inverse()
-        out = [RF_ZERO]
+        phi = 1 / TruncSeries(n - 1, self.coeffs[1:])
+        out = [ZERO]
         power = phi
         for k in range(1, n):
             out.append(power.coeffs[k - 1] / k)
@@ -260,12 +290,12 @@ def compose_all(outers: list[TruncSeries], inner: TruncSeries) -> list[TruncSeri
         outer._same_order(inner)
     if not inner.coeffs[0].is_zero:
         raise ValueError("composition requires the inner series to vanish at 0")
-    powers = [TruncSeries.constant(n, RF_ONE)]
+    powers = [TruncSeries.constant(n, ONE)]
     for _ in range(1, n):
         powers.append(powers[-1] * inner)
     results = []
     for outer in outers:
-        out = [RF_ZERO] * n
+        out = [ZERO] * n
         for k, (a, power) in enumerate(zip(outer.coeffs, powers)):
             if a.is_zero:
                 continue
@@ -291,34 +321,24 @@ def _egf_series_and_exp_d(
     takes it from here rather than expanding it a second time.
     """
     fa, fb, fd = as_fraction(a), as_fraction(b), as_fraction(d)
-    one_minus_q = QRatFun(QPoly(1, -1))
-    q = QRatFun(QPoly(0, 1))
+    one_minus_q = QPoly(1, -1)
     x = TruncSeries.x(order)
     exp_d = (x * (fd * one_minus_q)).exp()
-    denom = -(exp_d * q) + 1
     exp_a = exp_d if fa == fd else (x * (fa * one_minus_q)).exp()
-    base = (exp_a * one_minus_q) * denom.inverse()
+    base = (exp_a * one_minus_q) / (1 - exp_d * Q)
     return base.pow(fb), exp_d
 
 
 def egf_polynomials(a: Rat | str, b: Rat | str, d: Rat | str, count: int) -> list[QPoly]:
     """The polynomials T_n(q) = n! [x^n] g(x) for n = 0 .. count-1.
 
-    Each scaled coefficient must reduce to denominator 1; a residue of
-    (1-q) powers surviving the reduction would mean the expansion is
-    wrong, so that case raises instead of returning a rational function.
+    The series division behind g is exact in Q[q] or refused, so the
+    scaled coefficients are polynomials by construction.
     """
-    ser = egf_series(a, b, d, count)
     out: list[QPoly] = []
     factorial = 1
-    for n in range(count):
+    for n, coeff in enumerate(egf_series(a, b, d, count).coeffs):
         if n:
             factorial *= n
-        value = ser.coeffs[n] * factorial
-        try:
-            out.append(value.as_poly())
-        except ValueError as exc:
-            raise ValueError(
-                f"coefficient n={n} of the EGF did not clear its denominator: {value!r}"
-            ) from exc
+        out.append(coeff * factorial)
     return out

@@ -46,6 +46,15 @@ GOLDEN = [
      "32ce343aed66c9429702f6eaf4f9e87a88623224103c498aed351b40fd9d882a"),
     (("prodmat", *_TYPE_B_QT, "--order", "6"), 0,
      "0eb7bc27e2b645e122cfcf6a54f40425531bfe8fdf6d46cc36b4b6f67944c36e"),
+    # the EGF route through pow (b = 4/3) and through a second exponential (a != d)
+    (("table", *_TYPE_A_QT, "--nmax", "12", "--route", "egf"), 0,
+     "7514f065800f3f7242f07542c1f3a702e9fbf255bbb7ce1a0bbb755b94f7901d"),
+    (("table", *_GENERAL, "--nmax", "12", "--route", "egf"), 0,
+     "0c6be96ad070ccf88fb82ca8fccb075ac365b03872e4132e4c64f585fecab7e4"),
+    (("prodmat", *_TYPE_B, "--order", "12"), 0,
+     "f45d4580b05d04e9d1b5f61d9a4c5cc5ae88dd02a826d8c332472db13e24f0ab"),
+    (("prodmat", *_GENERAL, "--order", "8", "--format", "text"), 0,
+     "863fc6d00e986a86c12995beed734c837a41654d7b1c17f33c618d1fe4349be7"),
     (("cfrac", *_GENERAL, "--depth", "6", "--format", "text"), 0,
      "b2c1a23aeaad1906a57073268229f3176497f1aa1d3628e81a185e00fe9975ab"),
     (("invert-moments", *_TYPE_A_QT, "--nmax", "12"), 0,

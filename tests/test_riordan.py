@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from qeuler.algebra import QPoly, QRatFun
+from qeuler.algebra import QPoly
 from qeuler.riordan import (
     ExpRiordan,
     LowerTri,
@@ -20,7 +20,7 @@ from qeuler.series import TruncSeries
 
 
 def _rf(value):
-    return QRatFun(QPoly(value))
+    return QPoly(value)
 
 
 def _pascal_pair(order):
@@ -90,13 +90,29 @@ def test_first_column_holds_the_polynomials():
     want = [QPoly(1), QPoly(1), QPoly(1, 1), QPoly(1, 4, 1), QPoly(1, 11, 11, 1)]
     for n, poly in enumerate(want):
         # column 0 entry is n! [x^n] g, a polynomial in q
-        assert mat.entry(n, 0) == QRatFun(poly)
+        assert mat.entry(n, 0) == poly
 
 
 def test_singular_diagonal_has_no_inverse():
     m = LowerTri([[_rf(1), _rf(0)], [_rf(2), _rf(0)]])
     with pytest.raises(ValueError):
         lower_tri_inverse(m)
+
+
+def test_inverse_refuses_a_nonconstant_diagonal():
+    # 1/q is not in Q[q], so no step of forward substitution may divide by it
+    m = LowerTri([[_rf(1), _rf(0)], [_rf(2), QPoly(0, 1)]])
+    with pytest.raises(ValueError, match="not a unit"):
+        lower_tri_inverse(m)
+    # a nonzero rational diagonal divides exactly
+    half = LowerTri([[_rf(2), _rf(0)], [QPoly(0, 1), _rf(1)]])
+    assert lower_tri_inverse(half) @ half == LowerTri.identity(2)
+
+
+def test_json_keeps_the_num_den_form():
+    mat = riordan_matrix(exp_riordan_from_params(1, 1, 2, 3))
+    assert mat.to_json()[2][0] == {"num": ["1", "6", "1"], "den": ["1"]}
+    assert mat.to_json()[0][1] == {"num": [], "den": ["1"]}
 
 
 def test_exp_riordan_from_params_rejects_d_zero():
@@ -158,7 +174,7 @@ def test_defining_identity_l_times_p_is_shifted_l():
     prod = production_matrix_direct(mat)
     for n in range(prod.nrows):
         for j in range(n + 2):
-            acc = QRatFun(0)
+            acc = QPoly(0)
             for k in range(n + 1):
                 acc = acc + mat.entry(n, k) * prod.entry(k, j)
             assert acc == mat.entry(n + 1, j)

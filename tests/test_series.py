@@ -1,4 +1,4 @@
-"""Truncated power series over rational functions of q."""
+"""Truncated power series with coefficients in Q[q]."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,7 @@ from qeuler.series import TruncSeries, compose_all, egf_polynomials, egf_series
 
 
 def _series(order, *scalars):
-    return TruncSeries(order, [QRatFun(QPoly(c)) for c in scalars])
+    return TruncSeries(order, [QPoly(c) for c in scalars])
 
 
 def _rand_series(rng, order, constant=None):
@@ -25,10 +25,10 @@ def _rand_series(rng, order, constant=None):
 
 def test_constructor_pads_and_rejects_overflow():
     s = _series(4, 1, 2)
-    assert s.coefficient(2) == QRatFun(0)
-    assert s.coefficient(1) == QRatFun(2)
+    assert s.coefficient(2) == QPoly(0)
+    assert s.coefficient(1) == QPoly(2)
     with pytest.raises(ValueError):
-        TruncSeries(2, [QRatFun(1)] * 3)
+        TruncSeries(2, [QPoly(1)] * 3)
     with pytest.raises(ValueError):
         TruncSeries(0)
 
@@ -69,6 +69,58 @@ def test_inverse_of_one_minus_x_is_geometric():
     assert (geom * _series(6, 1, -1)) == TruncSeries.constant(6, 1)
     with pytest.raises(ValueError):
         TruncSeries.x(3).inverse()
+
+
+def test_division_solves_h_times_den_equals_num():
+    num = _series(5, 1, 2, 3)
+    den = _series(5, 1, -1)
+    h = num / den
+    assert h * den == num
+    assert h == _series(5, 1, 3, 6, 6, 6)
+    assert 1 / den == den.inverse() == _series(5, *([1] * 5))
+    # a scalar divisor divides every coefficient
+    assert num / 2 == _series(5, Fraction(1, 2), 1, Fraction(3, 2))
+
+
+def test_division_by_a_polynomial_constant_term_is_exact():
+    one_minus_q = QPoly(1, -1)
+    den = TruncSeries(4, [one_minus_q, one_minus_q * QPoly(0, 1)])
+    num = den * _series(4, 2, 0, 1)
+    assert num / den == _series(4, 2, 0, 1)
+
+
+def test_division_outside_q_polynomials_is_refused():
+    q = QPoly(0, 1)
+    # 1 / (q + x): the x^0 quotient 1/q is not a polynomial
+    with pytest.raises(ValueError, match=r"x\^0: \(1\) / \(q\)"):
+        1 / TruncSeries(3, [q, 1])
+    # ((1-q) + x) / (1-q): exact at x^0, refused at x^1
+    one_minus_q = QPoly(1, -1)
+    with pytest.raises(ValueError, match=r"x\^1"):
+        TruncSeries(3, [one_minus_q, 1]) / TruncSeries(3, [one_minus_q])
+    with pytest.raises(ValueError):
+        _series(3, 1, 1) / TruncSeries.x(3)
+
+
+def test_coefficients_are_polynomials_only():
+    with pytest.raises(TypeError):
+        TruncSeries(2, [QRatFun(1, QPoly(1, -1))])
+    with pytest.raises(TypeError):
+        TruncSeries(2, [1.5])
+
+
+def test_eulerian_quotient_has_a_n_over_n_factorial():
+    # (1-q) e^{(1-q)x} / (1 - q e^{(1-q)x}) = sum_n A_n(q) x^n / n!
+    order = 6
+    one_minus_q = QPoly(1, -1)
+    e = (TruncSeries.x(order) * one_minus_q).exp()
+    quotient = (e * one_minus_q) / (1 - e * QPoly(0, 1))
+    eulerian = [QPoly(1), QPoly(1), QPoly(1, 1), QPoly(1, 4, 1), QPoly(1, 11, 11, 1),
+                QPoly(1, 26, 66, 26, 1)]
+    factorial = 1
+    for n, a_n in enumerate(eulerian):
+        factorial *= max(n, 1)
+        assert quotient.coefficient(n) == a_n / factorial
 
 
 # -- transcendental operations ----------------------------------------------
@@ -155,17 +207,82 @@ def test_reversion_round_trips_property():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    coeff = st.lists(scalar, max_size=2).map(lambda cs: QRatFun(QPoly(*cs)))
-    linear = coeff.filter(lambda c: not c.is_zero)
+    coeff = st.lists(scalar, max_size=2).map(lambda cs: QPoly(*cs))
+    linear = scalar.filter(lambda c: c != 0).map(QPoly)
 
     @hyp.settings(max_examples=40, deadline=None)
     @hyp.given(st.integers(min_value=2, max_value=8), linear, st.lists(coeff, max_size=6))
     def check(order, f1, rest):
-        f = TruncSeries(order, [QRatFun(0), f1, *rest[: order - 2]])
+        f = TruncSeries(order, [QPoly(0), f1, *rest[: order - 2]])
         rev = f.reversion()
         ident = TruncSeries.x(order)
         assert f.compose(rev) == ident
         assert rev.compose(f) == ident
+
+    check()
+
+
+def test_reversion_refuses_a_nonconstant_linear_term_property():
+    # 1/f_1 is not in Q[q] unless f_1 is a nonzero rational
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeff = st.lists(scalar, max_size=2).map(lambda cs: QPoly(*cs))
+    linear = st.lists(scalar, min_size=2, max_size=3).map(lambda cs: QPoly(*cs))
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(
+        st.integers(min_value=2, max_value=8),
+        linear.filter(lambda c: c.degree >= 1),
+        st.lists(coeff, max_size=6),
+    )
+    def check(order, f1, rest):
+        f = TruncSeries(order, [QPoly(0), f1, *rest[: order - 2]])
+        with pytest.raises(ValueError):
+            f.reversion()
+
+    check()
+
+
+def test_series_ring_laws_exp_log_and_division_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeff = st.lists(scalar, max_size=3).map(lambda cs: QPoly(*cs))
+
+    def series(order, constant=None):
+        coeffs = st.lists(coeff, min_size=order, max_size=order)
+        if constant is None:
+            return coeffs.map(lambda cs: TruncSeries(order, cs))
+        return coeffs.map(lambda cs: TruncSeries(order, [constant, *cs[1:]]))
+
+    @st.composite
+    def case(draw):
+        order = draw(st.integers(min_value=1, max_value=6))
+        unit = draw(scalar.filter(lambda c: c != 0))
+        return (
+            draw(series(order)),
+            draw(series(order)),
+            draw(series(order)),
+            draw(series(order, QPoly(1))),
+            draw(series(order, QPoly(0))),
+            draw(series(order, QPoly(unit))),
+        )
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(case())
+    def check(drawn):
+        f, g, h, one_plus, zero_plus, unit_plus = drawn
+        assert (f + g) + h == f + (g + h)
+        assert f + g == g + f
+        assert f - f == TruncSeries.constant(f.order, 0)
+        assert (f * g) * h == f * (g * h)
+        assert f * g == g * f
+        assert f * (g + h) == f * g + f * h
+        assert f * TruncSeries.constant(f.order, 1) == f
+        assert one_plus.log().exp() == one_plus
+        assert zero_plus.exp().log() == zero_plus
+        assert (f * unit_plus) / unit_plus == f
 
     check()
 
