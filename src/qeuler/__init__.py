@@ -10,7 +10,7 @@ nothing here ever rounds.
 
 __version__ = "0.1.0"
 
-from .algebra import NEG_INF, QPoly, QRatFun, as_fraction, parse_rational, poly_divmod, poly_gcd
+from .algebra import QPoly, QRatFun, as_fraction, parse_rational, poly_divmod, poly_gcd
 from .convexity import (
     BUILTIN_SEQUENCES,
     ConvexityReport,
@@ -66,7 +66,6 @@ from .series import TruncSeries, compose_all, egf_polynomials, egf_series
 
 __all__ = [
     "__version__",
-    "NEG_INF",
     "QPoly",
     "QRatFun",
     "as_fraction",

@@ -34,7 +34,6 @@ from math import gcd, lcm
 
 __all__ = [
     "Rat",
-    "NEG_INF",
     "parse_rational",
     "as_fraction",
     "QPoly",
@@ -50,10 +49,6 @@ __all__ = [
 ]
 
 Rat = int | Fraction
-
-#: Degree of the zero polynomial.  A sentinel below every integer keeps
-#: ``max(f.degree, g.degree)`` and degree comparisons total.
-NEG_INF = float("-inf")
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -133,8 +128,9 @@ class QPoly:
     # -- basic queries ------------------------------------------------
 
     @property
-    def degree(self) -> int | float:
-        return len(self._num) - 1 if self._num else NEG_INF
+    def degree(self) -> int:
+        """The largest power of ``q`` present; -1 for the zero polynomial."""
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -400,11 +396,11 @@ def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     # nonzero constants are units, so the gcd collapses to 1 immediately
-    if (f.coeffs and f.degree == 0) or (g.coeffs and g.degree == 0):
+    if f.degree == 0 or g.degree == 0:
         return ONE
     while not g.is_zero:
         f, g = g, poly_divmod(f, g)[1]
-        if not g.is_zero and g.degree == 0:
+        if g.degree == 0:
             return ONE
         if not g.is_zero:
             g = g.monic()  # keeps coefficient growth in check

@@ -21,7 +21,9 @@ simpler quadratic that is claimed to bound it from below.
 
 ``transform_log_convexity_experiment`` gathers evidence for two open
 conjectures: applying either Eulerian triangle to a log-convex input
-sequence, does log-convexity survive?  It proves nothing; it computes
+sequence, does log-convexity survive?  Both triangles are rows of the
+one integer recurrence ``families.eulerian_rows``: type A at
+(a, d) = (1, 1) and type B at (1, 2).  It proves nothing; it computes
 ``z_n = sum_k triangle(n,k) x_k`` exactly and reports any witnesses.
 """
 
@@ -35,7 +37,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .algebra import QPoly, Rat, as_fraction
-from .families import eulerian_rows_type_a, eulerian_rows_type_b
+from .families import eulerian_rows
 from .jacobi import JFraction, jfraction_from_params
 
 __all__ = [
@@ -239,9 +241,10 @@ class Triangle(enum.Enum):
     EULERIAN_B = "B"
 
 
+#: The (a, d) parameters of each triangle in ``families.eulerian_rows``.
 _TRIANGLE_ROWS = {
-    Triangle.EULERIAN_A: eulerian_rows_type_a,
-    Triangle.EULERIAN_B: eulerian_rows_type_b,
+    Triangle.EULERIAN_A: (1, 1),
+    Triangle.EULERIAN_B: (1, 2),
 }
 
 
@@ -288,7 +291,8 @@ def transform_log_convexity_experiment(
     for k in range(1, n_max):
         if xs_int[k] * xs_int[k] > xs_int[k - 1] * xs_int[k + 1]:
             raise ValueError(f"input is not log-convex at index {k}")
-    zs_int = [sum(map(mul, row, xs_int)) for row in _TRIANGLE_ROWS[triangle](n_max)]
+    rows = eulerian_rows(*_TRIANGLE_ROWS[triangle], n_max)
+    zs_int = [sum(map(mul, row, xs_int)) for row in rows]
     witnesses = tuple(
         n for n in range(1, n_max) if zs_int[n] * zs_int[n] > zs_int[n - 1] * zs_int[n + 1]
     )

@@ -7,12 +7,15 @@ Every family is a specialization of the EGF parameter triple (a, b, d):
     TypeA_qt(t)   -> (1, t, 1)    excedances marked by q, cycles by t
     TypeB         -> (1, 1, 2)    descent polynomials of signed permutations
     TypeB_qt(t)   -> (1, 1, 1+t)  signed descents with negatives marked by t
-    General(a, d) -> (a, 1, d)    a two-parameter Eulerian recurrence
+    General(a, d) -> (a, 1, d)    the (a, d) Eulerian triangle
 
 The enumeration functions here are deliberately naive (they walk the
 whole group) because they serve as independent oracles for the
 generating-function and continued-fraction routes.  Distributions are
 cached per n, so evaluating at several t values costs one walk.
+
+Type A, type B and General read one integer triangle, ``eulerian_rows``,
+at (a, d) = (1, 1), (1, 2) and the General parameters.
 
 Two normalization quirks are encoded once, in ``enumeration_polynomial``:
 the excedance statistic carries a conventional extra factor q (so the
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from math import lcm
 from typing import Iterator
 
 from .algebra import ONE, Q, QPoly, Rat, as_fraction
@@ -41,8 +45,7 @@ __all__ = [
     "descent_polynomial",
     "excedance_cycle_polynomial",
     "signed_descent_polynomial",
-    "eulerian_rows_type_a",
-    "eulerian_rows_type_b",
+    "eulerian_rows",
     "eulerian_numbers_type_a",
     "eulerian_numbers_type_b",
     "type_b_polynomial",
@@ -207,61 +210,43 @@ def signed_descent_polynomial(n: int, t: Rat | str, cap: int = SIGNED_CAP) -> QP
 # -- recurrences -------------------------------------------------------------
 
 
-def eulerian_rows_type_a(n_max: int) -> Iterator[list[int]]:
-    """Rows 0 .. n_max of the descent triangle of S_n, in one pass.
+def eulerian_rows(a: int, d: int, n_max: int) -> Iterator[list[int]]:
+    """Rows 0 .. n_max of the (a, d) Eulerian triangle, in one pass.
 
-    A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1), A(0, 0) = 1.  Row n
-    has length n+1 (a trailing 0 for n >= 1); the next row is built from
+    Row n holds the coefficients of T_n(q), constant term first:
+
+        T(n, j) = (a + j d) T(n-1, j) + ((n+1-j) d - a) T(n-1, j-1),  T(0, 0) = 1.
+
+    Row n has length n+1.  (a, d) = (1, 1) is the descent triangle of S_n,
+    whose top entry is 0 for n >= 1 (its factor at j = n is d - a), and
+    (1, 2) is the signed-descent triangle of B_n.  Both factors are
+    linear forms in (a, d), so row n is homogeneous of degree n in
+    (a, d): rational parameters A/D, E/D give row n of (A, E) divided by
+    D^n, and the rows need only integers.  The next row is built from
     the one yielded, so callers must not modify it.
     """
     row = [1]
     yield row
-    for m in range(1, n_max + 1):
-        new = [0] * (m + 1)
-        for k in range(m + 1):
-            acc = 0
-            if k < len(row):
-                acc += (k + 1) * row[k]
-            if k:
-                acc += (m - k) * row[k - 1]
-            new[k] = acc
-        row = new
+    for n in range(1, n_max + 1):
+        prev = [0, *row, 0]  # prev[j + 1] = T(n-1, j), zero outside 0 <= j < n
+        row = [(a + j * d) * prev[j + 1] + ((n + 1 - j) * d - a) * prev[j] for j in range(n + 1)]
         yield row
 
 
-def eulerian_rows_type_b(n_max: int) -> Iterator[list[int]]:
-    """Rows 0 .. n_max of the signed-descent triangle, in one pass.
-
-    B(n, k) = (2k+1) B(n-1, k) + (2n-2k+1) B(n-1, k-1), B(0, 0) = 1.
-    Row n has length n+1; callers must not modify a yielded row.
-    """
-    row = [1]
-    yield row
-    for m in range(1, n_max + 1):
-        new = [0] * (m + 1)
-        for k in range(m + 1):
-            acc = 0
-            if k < len(row):
-                acc += (2 * k + 1) * row[k]
-            if k:
-                acc += (2 * m - 2 * k + 1) * row[k - 1]
-            new[k] = acc
-        row = new
-        yield row
+def _last_row(a: int, d: int, n: int) -> list[int]:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return deque(eulerian_rows(a, d, n), maxlen=1).pop()
 
 
 def eulerian_numbers_type_a(n: int) -> list[int]:
     """Row n of the descent triangle of S_n (length n+1, trailing 0 for n>=1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return deque(eulerian_rows_type_a(n), maxlen=1).pop()
+    return _last_row(1, 1, n)
 
 
 def eulerian_numbers_type_b(n: int) -> list[int]:
     """Row n of the signed-descent triangle (length n+1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return deque(eulerian_rows_type_b(n), maxlen=1).pop()
+    return _last_row(1, 2, n)
 
 
 def type_b_polynomial(n: int) -> QPoly:
@@ -269,9 +254,10 @@ def type_b_polynomial(n: int) -> QPoly:
 
         P_n = [(2n-1)q + 1] P_{n-1} + 2q(1-q) P'_{n-1},  P_0 = 1.
 
-    The 2q(1-q) factor is forced: expanding the triangle recurrence
+    The 2q(1-q) factor is forced: expanding the (1, 2) triangle recurrence
     B(n,k) = (2k+1)B(n-1,k) + (2n-2k+1)B(n-1,k-1) termwise gives
-    P_n = (1 + (2n-1)q) P_{n-1} + 2q P'_{n-1} - 2q^2 P'_{n-1}.
+    P_n = (1 + (2n-1)q) P_{n-1} + 2q P'_{n-1} - 2q^2 P'_{n-1}.  It is
+    an independent check of that triangle.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -281,39 +267,16 @@ def type_b_polynomial(n: int) -> QPoly:
     return poly
 
 
-def _general_rows(n: int, a: Fraction, d: Fraction) -> list[list[Fraction]]:
-    # rows[m][k+1] = A_m,k for k = -1 .. m-1, from
-    # A(m,k) = (-a + (k+2)d) A(m-1,k) + (a + (m-k-1)d) A(m-1,k-1)
-    rows = [[Fraction(1)]]
-    for m in range(1, n + 1):
-        old = rows[-1]
-        new = [Fraction(0)] * (m + 1)
-        for k in range(-1, m):
-            acc = Fraction(0)
-            if k + 1 < len(old):
-                acc += (-a + (k + 2) * d) * old[k + 1]
-            if k >= 0:
-                acc += (a + (m - k - 1) * d) * old[k]
-            new[k + 1] = acc
-        rows.append(new)
-    return rows
-
-
 def general_eulerian_polynomial(n: int, a: Rat | str, d: Rat | str) -> QPoly:
     """The two-parameter Eulerian polynomial matching the (a, 1, d) EGF.
 
-    The triangle A(n, k) above is assembled as sum_k A(n,k) q^{n-1-k};
-    assembling with q^{k+1} instead would produce the reversed
-    polynomial and break equality with the generating-function route.
+    Row n of ``eulerian_rows`` on the numerators of a and d over their
+    common denominator D, divided once by D^n.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     fa, fd = as_fraction(a), as_fraction(d)
-    row = _general_rows(n, fa, fd)[n]
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(-1, n):
-        coeffs[n - 1 - k] += row[k + 1]
-    return QPoly(*coeffs)
+    den = lcm(fa.denominator, fd.denominator)
+    num_a, num_d = (c.numerator * (den // c.denominator) for c in (fa, fd))
+    return QPoly(*_last_row(num_a, num_d, n)) / den**n
 
 
 # -- route dispatch -----------------------------------------------------------

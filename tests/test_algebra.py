@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from qeuler.algebra import (
-    NEG_INF,
     QPoly,
     ZERO,
     QRatFun,
@@ -59,7 +58,7 @@ def test_as_fraction_refuses_floats_and_bools():
 def test_qpoly_normalizes_trailing_zeros():
     assert QPoly(1, 2, 0, 0) == QPoly(1, 2)
     assert QPoly(0, 0).is_zero
-    assert QPoly().degree == NEG_INF
+    assert QPoly().degree == -1
     assert QPoly(0, 0, 3).degree == 2
 
 

@@ -164,7 +164,10 @@ def test_general_polynomial_first_rows():
 
 
 def test_general_polynomial_matches_generating_function():
-    for a, d in [(1, 2), (1, 3), (2, 5), (0, 1)]:
+    # the rational and negative pairs check that row n is divided by D^n
+    rational = [(Fraction(2, 3), Fraction(5, 3)), (Fraction(1, 4), Fraction(5, 4))]
+    negative = [(Fraction(-1, 2), Fraction(3, 7)), (Fraction(3, 5), Fraction(-2))]
+    for a, d in [(1, 2), (1, 3), (2, 5), (0, 1), *rational, *negative]:
         want = egf_polynomials(a, 1, d, 8)
         for n in range(8):
             assert general_eulerian_polynomial(n, a, d) == want[n], (a, d, n)
