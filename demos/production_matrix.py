@@ -2,8 +2,8 @@
 
 The array L is built column by column from (g, f); its production
 matrix P satisfies L P = L-with-first-row-removed.  P can be computed
-directly (invert L, multiply) or from the series c = g'(fbar)/g(fbar)
-and r = f'(fbar).  Both give a tridiagonal matrix whose bands are the
+directly (solve that system by forward substitution) or from the series
+c = g'(fbar)/g(fbar) and r = f'(fbar).  Both give a tridiagonal matrix whose bands are the
 continued-fraction weights.
 """
 

@@ -15,6 +15,10 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
   route divides only where the quotient must be a polynomial, and a
   nonzero remainder refuses the input: each division is exact or
   refused.
+* ``poly_dot`` -- the sum of products over paired entries, skipping zero
+  factors: every convolution, matrix entry and inner product in the
+  package is one call.  It multiplies through ``x * y``, so
+  ``QPoly.__mul__`` stays the only polynomial product.
 * ``QRatFun``  -- a quotient of two ``QPoly`` in canonical form: the
   denominator is monic, the fraction is fully reduced by ``poly_gcd``,
   and a zero numerator forces denominator 1.  No route uses it; it
@@ -39,6 +43,7 @@ __all__ = [
     "QPoly",
     "QRatFun",
     "poly_divmod",
+    "poly_dot",
     "poly_gcd",
     "ZERO",
     "ONE",
@@ -112,10 +117,6 @@ class QPoly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QPoly is immutable")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "QPoly":
-        return cls(*coeffs)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -344,6 +345,20 @@ def _from_parts(num: list[int], den: int) -> QPoly:
 ZERO = QPoly()
 ONE = QPoly(1)
 Q = QPoly(0, 1)
+
+
+def poly_dot(xs, ys) -> QPoly:
+    """The sum of ``x * y`` over paired entries, skipping a pair with a zero factor.
+
+    Entries are ``QPoly``, ``int`` or ``Fraction``, and every product goes
+    through ``x * y``.  Like ``zip``, it stops at the end of the shorter
+    operand, so a truncated convolution is ``poly_dot(a, reversed(b))``.
+    """
+    acc = ZERO
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = acc + x * y
+    return acc
 
 
 def poly_divmod(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:

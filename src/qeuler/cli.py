@@ -329,12 +329,9 @@ def _cmd_selftest(args):
     all_pass = True
     for spec, ncap in _selftest_instances(args.nmax):
         count = ncap + 1
-        a, b, d = families.family_egf_params(spec)
-        egf = series.egf_polynomials(a, b, d, count)
-        jf = jacobi.jfraction_from_params(a, b, d, count)
-        cfrac = list(jacobi.moments_by_cfrac_expansion(jf, count).mu)
+        egf, cfrac, enum = (_table_rows(spec, route, count) for route in ("egf", "cfrac", "enum"))
+        jf = jacobi.jfraction_from_params(*families.family_egf_params(spec), count)
         motzkin = list(jacobi.moments_by_motzkin_paths(jf, count).mu)
-        enum = [families.enumeration_polynomial(spec, n) for n in range(count)]
         label = spec.label()
         for n in range(count):
             for pair, okay in (

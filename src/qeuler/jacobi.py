@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ONE, QPoly, ZERO, poly_divmod
+from .algebra import ONE, QPoly, ZERO, as_fraction, poly_divmod, poly_dot
 
 __all__ = [
     "JFraction",
@@ -140,8 +140,6 @@ def jfraction_from_params(a, b, d, depth: int) -> JFraction:
         s_i     = (d i + a b) + (d i + b d - a b) q
         t_{i+1} = d^2 (i + 1)(i + b) q
     """
-    from .algebra import as_fraction
-
     fa, fb, fd = as_fraction(a), as_fraction(b), as_fraction(d)
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -222,13 +220,11 @@ def moments_by_cfrac_expansion(jf: JFraction, count: int) -> MomentSeq:
                 nxt[i + 2] = nxt[i + 2] - t * c
         num, den = den, nxt
     # mu = N / D with D(0) = 1: mu_n = N_n - sum_{k>=1} D_k mu_{n-k}
+    num += [ZERO] * (count - len(num))
+    rest = den[1:]
     mu: list[QPoly] = []
-    for n in range(count):
-        acc = num[n] if n < len(num) else ZERO
-        for k in range(1, min(n, len(den) - 1) + 1):
-            if not den[k].is_zero and not mu[n - k].is_zero:
-                acc = acc - den[k] * mu[n - k]
-        mu.append(acc)
+    for c in num:
+        mu.append(c - poly_dot(rest, reversed(mu)))
     return MomentSeq(tuple(mu))
 
 
@@ -266,20 +262,9 @@ def verify_orthogonality(basis: OrthoBasis, moments: MomentSeq) -> bool:
     if len(moments) < need + 1:
         raise ValueError(f"need {need + 1} moments for {size} rows, have {len(moments)}")
     mu = moments.mu
-    for n in range(size):
-        row = basis.rows[n]
-        for m in range(n):
-            acc = ZERO
-            for k, ck in enumerate(row):
-                if not ck.is_zero:
-                    acc = acc + ck * mu[k + m]
-            if not acc.is_zero:
-                return False
-        norm = ZERO
-        for k, ck in enumerate(row):
-            if not ck.is_zero:
-                norm = norm + ck * mu[k + n]
-        if norm.is_zero:
+    for n, row in enumerate(basis.rows):
+        # <Q_n, x^m> = sum_k [x^k] Q_n mu_{k+m}
+        if any(poly_dot(row, mu[m:]) for m in range(n)) or not poly_dot(row, mu[n:]):
             return False
     return True
 

@@ -7,8 +7,10 @@ An exponential Riordan array is a pair of series ``(g, f)`` with
 
 lower triangular with invertible diagonal.  The production matrix ``P``
 is defined by the row-shift identity ``Lbar = L P`` (``Lbar`` is ``L``
-without its top row), so ``P = L^{-1} Lbar``.  It can also be computed
-without ever forming ``L`` from the two series
+without its top row).  ``production_matrix_direct`` solves that system
+by one forward substitution, without forming ``L^{-1}``;
+``lower_tri_inverse`` is the same solve against the identity.  P can
+also be computed without ever forming ``L`` from the two series
 
     r(x) = f'(fbar(x)),    c(x) = g'(fbar(x)) / g(fbar(x)),
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction
+from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, poly_dot
 from .series import TruncSeries, _coerce_poly, _egf_series_and_exp_d, compose_all
 
 __all__ = [
@@ -113,20 +115,8 @@ class LowerTri:
     def __matmul__(self, other: "LowerTri") -> "LowerTri":
         if self.size != other.size:
             raise ValueError("size mismatch")
-        n = self.size
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ZERO
-                for k in range(j, i + 1):  # both factors triangular
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if not a.is_zero and not b.is_zero:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return LowerTri(out)
+        columns = list(zip(*other.rows))
+        return LowerTri([[poly_dot(row, col) for col in columns] for row in self.rows])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LowerTri):
@@ -145,7 +135,7 @@ class LowerTri:
 
 @dataclass(frozen=True)
 class ProductionData:
-    """A production matrix window plus what was used to build it.
+    """A production matrix window and whether it is tridiagonal.
 
     ``entries[i][j]`` covers rows ``0..nrows-1`` and columns
     ``0..ncols-1``; everything the window can see beyond column ``i+1``
@@ -156,8 +146,6 @@ class ProductionData:
 
     entries: tuple[tuple[QPoly, ...], ...]
     tridiagonal: bool
-    c: TruncSeries | None = None
-    r: TruncSeries | None = None
 
     @property
     def nrows(self) -> int:
@@ -233,34 +221,39 @@ def riordan_matrix(arr: ExpRiordan) -> LowerTri:
     return LowerTri(rows)
 
 
-def lower_tri_inverse(mat: LowerTri) -> LowerTri:
-    """Inverse by forward substitution over Q[q].
+def _solve_lower(mat: LowerTri, rhs) -> list[list[QPoly]]:
+    """The rows of X with mat X = rhs, by forward substitution over Q[q].
 
-    Each diagonal entry must be a unit of Q[q], a nonzero rational, so
-    that every step divides exactly by a scalar; any other diagonal is
-    refused with ``ValueError``.
+    ``rhs`` may hold fewer rows than ``mat``; row i of X needs only rows
+    0 .. i of ``mat``.  Every diagonal entry of ``mat`` is checked first,
+    all of them, and must be a unit of Q[q], a nonzero rational, so that
+    each step divides exactly by a scalar; any other diagonal is refused
+    with ``ValueError``.
     """
-    n = mat.size
     diag: list[Fraction] = []
-    for i in range(n):
-        e = mat.rows[i][i]
+    for i, row in enumerate(mat.rows):
+        e = row[i]
         if e.is_zero:
             raise ValueError(f"diagonal entry {i} is zero; matrix not invertible")
         if e.degree != 0:
             raise ValueError(f"diagonal entry {i} is {e}, not a unit of Q[q]")
         diag.append(e.constant)
-    inv = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        inv[i][i] = QPoly(1 / diag[i])
-        for j in range(i - 1, -1, -1):
-            acc = ZERO
-            for k in range(j, i):
-                a = mat.rows[i][k]
-                b = inv[k][j]
-                if not a.is_zero and not b.is_zero:
-                    acc = acc + a * b
-            inv[i][j] = -acc / diag[i]
-    return LowerTri(inv)
+    out: list[list[QPoly]] = []
+    for i, row in enumerate(rhs):
+        left = mat.rows[i][:i]
+        out.append(
+            [(b - poly_dot(left, [x[j] for x in out])) / diag[i] for j, b in enumerate(row)]
+        )
+    return out
+
+
+def lower_tri_inverse(mat: LowerTri) -> LowerTri:
+    """Inverse by forward substitution over Q[q]: the X with mat X = I.
+
+    Each diagonal entry must be a unit of Q[q], a nonzero rational; any
+    other diagonal is refused with ``ValueError``.
+    """
+    return LowerTri(_solve_lower(mat, LowerTri.identity(mat.size).rows))
 
 
 def production_series(arr: ExpRiordan) -> tuple[TruncSeries, TruncSeries]:
@@ -310,33 +303,21 @@ def production_matrix_from_series(c: TruncSeries, r: TruncSeries) -> ProductionD
     return ProductionData(
         entries=tuple(tuple(row) for row in entries),
         tridiagonal=_tridiagonal(entries),
-        c=c,
-        r=r,
     )
 
 
 def production_matrix_direct(mat: LowerTri) -> ProductionData:
-    """P = L^{-1} Lbar computed from the matrix alone.
+    """P from L P = Lbar, solved from the matrix alone.
 
-    Lbar drops the top row of L, so with L of size N the product is
-    known on rows 0 .. N-2 and all N columns.
+    Lbar drops the top row of L, so with L of size N one forward
+    substitution gives P on rows 0 .. N-2 and all N columns, without
+    forming L^{-1}.  P is lower Hessenberg, so with zero factors skipped
+    the solve costs about N^2 entry products for a tridiagonal P.
     """
     n = mat.size
     if n < 2:
         raise ValueError("need at least a 2x2 window")
-    inv = lower_tri_inverse(mat)
-    entries: list[list[QPoly]] = []
-    for i in range(n - 1):
-        row = []
-        for j in range(n):
-            acc = ZERO
-            for k in range(max(0, j - 1), i + 1):
-                a = inv.rows[i][k]
-                b = mat.rows[k + 1][j] if j <= k + 1 else ZERO
-                if not a.is_zero and not b.is_zero:
-                    acc = acc + a * b
-            row.append(acc)
-        entries.append(row)
+    entries = _solve_lower(mat, mat.rows[1:])
     return ProductionData(
         entries=tuple(tuple(row) for row in entries),
         tridiagonal=_tridiagonal(entries),

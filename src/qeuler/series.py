@@ -25,7 +25,7 @@ so each quotient the expansion needs lies in Q[q].
 
 from __future__ import annotations
 
-from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, poly_divmod
+from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, poly_divmod, poly_dot
 
 __all__ = ["TruncSeries", "compose_all", "egf_series", "egf_polynomials"]
 
@@ -116,16 +116,8 @@ class TruncSeries:
             s = _coerce_poly(other)
             return TruncSeries(self.order, [c * s for c in self.coeffs])
         self._same_order(other)
-        n = self.order
-        out = [ZERO] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(n, out)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(self.order, [poly_dot(a, b[m::-1]) for m in range(self.order)])
 
     __rmul__ = __mul__
 
@@ -142,17 +134,14 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             other = TruncSeries.constant(self.order, _coerce_poly(other))
         self._same_order(other)
-        den = other.coeffs
-        lead = den[0]
+        lead, *rest = other.coeffs
         if lead.is_zero:
             raise ValueError("series division needs a divisor with nonzero constant term")
         # a constant divisor divides as a scalar
         scalar = lead.constant if lead.degree == 0 else None
         out: list[QPoly] = []
-        for m, acc in enumerate(self.coeffs):
-            for k in range(1, m + 1):
-                if not den[k].is_zero and not out[m - k].is_zero:
-                    acc = acc - den[k] * out[m - k]
+        for m, c in enumerate(self.coeffs):
+            acc = c - poly_dot(rest, reversed(out))
             if scalar is not None:
                 out.append(acc / scalar)
                 continue
@@ -180,13 +169,10 @@ class TruncSeries:
         a = self.coeffs
         if not a[0].is_zero:
             raise ValueError("exp of a series requires constant term 0")
+        da = [k * a[k] for k in range(1, self.order)]
         out = [ONE]
         for m in range(1, self.order):
-            acc = ZERO
-            for k in range(1, m + 1):
-                if not a[k].is_zero and not out[m - k].is_zero:
-                    acc = acc + (k * a[k]) * out[m - k]
-            out.append(acc / m)
+            out.append(poly_dot(da, reversed(out)) / m)
         return TruncSeries(self.order, out)
 
     def log(self) -> "TruncSeries":
@@ -199,12 +185,10 @@ class TruncSeries:
         if a[0] != ONE:
             raise ValueError("log of a series requires constant term 1")
         out = [ZERO]
+        dout: list[QPoly] = []  # k L_k for k = 1 .. m-1
         for m in range(1, self.order):
-            acc = ZERO
-            for k in range(1, m):
-                if not out[k].is_zero and not a[m - k].is_zero:
-                    acc = acc + (k * out[k]) * a[m - k]
-            out.append(a[m] - acc / m)
+            out.append(a[m] - poly_dot(dout, a[m - 1 : 0 : -1]) / m)
+            dout.append(m * out[m])
         return TruncSeries(self.order, out)
 
     def pow(self, exponent: Rat | str) -> "TruncSeries":
@@ -293,18 +277,9 @@ def compose_all(outers: list[TruncSeries], inner: TruncSeries) -> list[TruncSeri
     powers = [TruncSeries.constant(n, ONE)]
     for _ in range(1, n):
         powers.append(powers[-1] * inner)
-    results = []
-    for outer in outers:
-        out = [ZERO] * n
-        for k, (a, power) in enumerate(zip(outer.coeffs, powers)):
-            if a.is_zero:
-                continue
-            for i in range(k, n):
-                b = power.coeffs[i]
-                if not b.is_zero:
-                    out[i] = out[i] + a * b
-        results.append(TruncSeries(n, out))
-    return results
+    # column i holds [x^i] inner^k for k = 0 .. n-1
+    columns = list(zip(*(power.coeffs for power in powers)))
+    return [TruncSeries(n, [poly_dot(outer.coeffs, col) for col in columns]) for outer in outers]
 
 
 def egf_series(a: Rat | str, b: Rat | str, d: Rat | str, order: int) -> TruncSeries:

@@ -12,6 +12,7 @@ from qeuler.algebra import (
     as_fraction,
     parse_rational,
     poly_divmod,
+    poly_dot,
     poly_gcd,
 )
 
@@ -226,6 +227,50 @@ def test_qpoly_ring_laws_against_a_fraction_list_reference():
             assert hash(f) == hash(f.constant)
 
     check()
+
+
+def _ref_entry(value):
+    return _ref(value.coeffs if isinstance(value, QPoly) else [value])
+
+
+def test_poly_dot_is_the_naive_sum_of_products():
+    """poly_dot over QPoly, int and Fraction entries, zeros included.
+
+    Like ``zip``, poly_dot stops at the end of the shorter operand, so
+    the reference sums over the first min(len(xs), len(ys)) pairs.
+    """
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=30)
+    poly = st.lists(st.one_of(rational, st.just(Fraction(0))), max_size=5).map(
+        lambda cs: QPoly(*cs)
+    )
+    entry = st.one_of(
+        st.integers(min_value=-50, max_value=50), rational, poly, st.just(0), st.just(ZERO)
+    )
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.lists(entry, max_size=6), st.lists(entry, max_size=6))
+    def check(xs, ys):
+        want: list[Fraction] = []
+        for i in range(min(len(xs), len(ys))):
+            want = _ref_add(want, _ref_mul(_ref_entry(xs[i]), _ref_entry(ys[i])))
+        got = poly_dot(xs, ys)
+        assert isinstance(got, QPoly)
+        assert list(got.coeffs) == want
+
+    check()
+
+
+def test_poly_dot_never_multiplies_a_zero_factor():
+    class Unmultipliable:
+        def __mul__(self, other):
+            raise AssertionError("a pair with a zero factor was multiplied")
+
+        __rmul__ = __mul__
+
+    assert poly_dot([0, ZERO, QPoly(1, 1)], [Unmultipliable(), Unmultipliable(), 2]) == QPoly(2, 2)
+    assert poly_dot([], [1, 2]) == ZERO
 
 
 def test_qpoly_str_forms():

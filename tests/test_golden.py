@@ -55,6 +55,9 @@ GOLDEN = [
      "f45d4580b05d04e9d1b5f61d9a4c5cc5ae88dd02a826d8c332472db13e24f0ab"),
     (("prodmat", *_GENERAL, "--order", "8", "--format", "text"), 0,
      "863fc6d00e986a86c12995beed734c837a41654d7b1c17f33c618d1fe4349be7"),
+    # b = 4/3 != 1, so the array's g goes through pow
+    (("prodmat", *_TYPE_A_QT, "--order", "10"), 0,
+     "1245e2ab46f2e2e6550ed2ae68978e4551e2fbf92c8cbcdfeb92c361a73bab8f"),
     (("cfrac", *_GENERAL, "--depth", "6", "--format", "text"), 0,
      "b2c1a23aeaad1906a57073268229f3176497f1aa1d3628e81a185e00fe9975ab"),
     (("invert-moments", *_TYPE_A_QT, "--nmax", "12"), 0,

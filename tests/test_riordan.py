@@ -1,11 +1,12 @@
 """Exponential Riordan arrays and their production matrices."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from qeuler.algebra import QPoly
+from qeuler.algebra import Q, ZERO, QPoly
 from qeuler.riordan import (
     ExpRiordan,
     LowerTri,
@@ -199,3 +200,50 @@ def test_non_family_array_still_consistent():
 def test_production_requires_enough_terms():
     with pytest.raises(ValueError):
         production_series(exp_riordan_from_params(1, 1, 1, 2))
+
+
+# -- the direct route against L^{-1} Lbar ------------------------------------------
+
+
+def _inverse_times_shifted(mat):
+    """P = L^{-1} Lbar by inverting L and multiplying with a plain loop."""
+    inv = lower_tri_inverse(mat)
+    n = mat.size
+    out = []
+    for i in range(n - 1):
+        row = []
+        for j in range(n):
+            acc = QPoly(0)
+            for k in range(i + 1):
+                acc = acc + inv.entry(i, k) * mat.entry(k + 1, j)
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def test_direct_solve_equals_inverse_times_shifted_matrix():
+    rng = random.Random(8)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    mats = [riordan_matrix(_pascal_pair(order)) for order in (2, 7, 12)]
+    for order in range(2, 13):
+        d = rational() or Fraction(1)
+        mats.append(riordan_matrix(exp_riordan_from_params(rational(), rational(), d, order)))
+    for mat in mats:
+        prod = production_matrix_direct(mat)
+        assert prod.entries == _inverse_times_shifted(mat)
+
+
+@pytest.mark.parametrize("bad,message", [(ZERO, "not invertible"), (Q, "not a unit")])
+def test_direct_solve_checks_the_last_diagonal_entry(bad, message):
+    # row N-1 is only read through Lbar, yet its diagonal is still checked
+    rows = [list(row) for row in riordan_matrix(exp_riordan_from_params(1, 1, 2, 5)).rows]
+    rows[-1][-1] = bad
+    mat = LowerTri(rows)
+    with pytest.raises(ValueError, match=message) as inverse_error:
+        lower_tri_inverse(mat)
+    with pytest.raises(ValueError) as direct_error:
+        production_matrix_direct(mat)
+    assert str(direct_error.value) == str(inverse_error.value)
