@@ -39,6 +39,6 @@ bad = check_q_log_convex([QPoly(1), QPoly(1, 1), QPoly(1)])
 print(f"  verdict={bad.verdict}, witnesses={bad.witnesses}")
 
 print("\nmoments of the type B family are themselves the polynomials:")
-mu = moments_by_motzkin_paths(jfraction_from_params(1, 1, 2, 6), 6).mu
+mu = moments_by_motzkin_paths(jfraction_from_params(1, 1, 2, 6), 6)
 for n, m in enumerate(mu):
     print(f"  mu_{n} = {m}")

@@ -10,9 +10,7 @@ exactly the closed-form weights; feeding it degenerate moments must
 fail loudly instead of returning something plausible.
 """
 
-from qeuler.algebra import QPoly
 from qeuler.jacobi import (
-    MomentSeq,
     NonQuasiDefiniteError,
     jfraction_from_moments,
     jfraction_from_params,
@@ -29,12 +27,12 @@ for i in range(3):
     print(f"  s_{i} = {recovered.s[i]}")
 
 print("\nscalar moments work too (Motzkin numbers -> all-ones weights):")
-motzkin = MomentSeq(tuple(QPoly(v) for v in (1, 1, 2, 4, 9, 21, 51, 127)))
+motzkin = (1, 1, 2, 4, 9, 21, 51, 127)
 flat = jfraction_from_moments(motzkin)
 print(f"  s = {[str(p) for p in flat.s]}, t = {[str(p) for p in flat.t]}")
 
 print("\ndegenerate moments are refused:")
 try:
-    jfraction_from_moments(MomentSeq((QPoly(1),) + (QPoly(),) * 5), 3)
+    jfraction_from_moments((1, 0, 0, 0, 0, 0), 3)
 except NonQuasiDefiniteError as exc:
     print(f"  NonQuasiDefiniteError: {exc}")

@@ -22,13 +22,13 @@ jf = jfraction_from_params(A, B, D, SIZE)
 basis = orthogonal_basis(jf, SIZE)
 
 print(f"monic orthogonal polynomials for (a, b, d) = ({A}, {B}, {D}):")
-for n, row in enumerate(basis.rows):
+for n, row in enumerate(basis):
     terms = " + ".join(f"({c})x^{k}" for k, c in enumerate(row) if not c.is_zero)
     print(f"  Q_{n}(x) = {terms}")
 
 inv = lower_tri_inverse(riordan_matrix(exp_riordan_from_params(A, B, D, SIZE)))
 match = all(
-    inv.entry(n, k) == basis.rows[n][k]
+    inv.entry(n, k) == basis[n][k]
     for n in range(SIZE)
     for k in range(n + 1)
 )

@@ -14,7 +14,7 @@ def show(spec: FamilySpec, nmax: int) -> None:
     a, b, d = family_egf_params(spec)
     count = nmax + 1
     egf = egf_polynomials(a, b, d, count)
-    moments = moments_by_motzkin_paths(jfraction_from_params(a, b, d, count), count).mu
+    moments = moments_by_motzkin_paths(jfraction_from_params(a, b, d, count), count)
     print(f"\n{spec.label()}  (a={a}, b={b}, d={d})")
     for n in range(count):
         enum = enumeration_polynomial(spec, n)

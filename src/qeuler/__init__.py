@@ -41,9 +41,7 @@ from .families import (
 )
 from .jacobi import (
     JFraction,
-    MomentSeq,
     NonQuasiDefiniteError,
-    OrthoBasis,
     jfraction_from_moments,
     jfraction_from_params,
     moments_by_cfrac_expansion,
@@ -86,9 +84,7 @@ __all__ = [
     "production_series",
     "riordan_matrix",
     "JFraction",
-    "MomentSeq",
     "NonQuasiDefiniteError",
-    "OrthoBasis",
     "jfraction_from_moments",
     "jfraction_from_params",
     "moments_by_cfrac_expansion",

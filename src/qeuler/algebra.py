@@ -42,6 +42,7 @@ __all__ = [
     "as_fraction",
     "QPoly",
     "QRatFun",
+    "as_qpoly",
     "poly_divmod",
     "poly_dot",
     "poly_gcd",
@@ -347,6 +348,14 @@ ONE = QPoly(1)
 Q = QPoly(0, 1)
 
 
+def as_qpoly(value) -> QPoly:
+    """``value`` if it is a ``QPoly``, else ``QPoly(value)``: the one way into Q[q].
+
+    Floats, bools and every type but int, ``Fraction`` and str raise ``TypeError``.
+    """
+    return value if isinstance(value, QPoly) else QPoly(value)
+
+
 def poly_dot(xs, ys) -> QPoly:
     """The sum of ``x * y`` over paired entries, skipping a pair with a zero factor.
 
@@ -435,8 +444,8 @@ class QRatFun:
     den: QPoly
 
     def __init__(self, num, den=None):
-        n = num if isinstance(num, QPoly) else QPoly(num)
-        d = ONE if den is None else (den if isinstance(den, QPoly) else QPoly(den))
+        n = as_qpoly(num)
+        d = ONE if den is None else as_qpoly(den)
         if d.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if n.is_zero:

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Sequence
 
 from . import __version__, convexity, families, jacobi, riordan, series
 from .algebra import QPoly, as_fraction, parse_rational
@@ -134,13 +135,13 @@ def _spec_config(spec: FamilySpec) -> dict:
     return cfg
 
 
-def _table_rows(spec: FamilySpec, route: str, count: int) -> list[QPoly]:
+def _table_rows(spec: FamilySpec, route: str, count: int) -> Sequence[QPoly]:
     a, b, d = families.family_egf_params(spec)
     if route == "egf":
         return series.egf_polynomials(a, b, d, count)
     if route == "cfrac":
         jf = jacobi.jfraction_from_params(a, b, d, count)
-        return list(jacobi.moments_by_cfrac_expansion(jf, count).mu)
+        return jacobi.moments_by_cfrac_expansion(jf, count)
     if route == "enum":
         return [families.enumeration_polynomial(spec, n) for n in range(count)]
     return [families.recurrence_polynomial(spec, n) for n in range(count)]
@@ -156,14 +157,18 @@ def _cmd_table(args):
     return config, result, True, lines
 
 
+def _weight_lines(s: Sequence[QPoly], t: Sequence[QPoly]) -> list[str]:
+    return [f"  s_{i} = {p}" for i, p in enumerate(s)] + [
+        f"  t_{i} = {p}" for i, p in enumerate(t, start=1)
+    ]
+
+
 def _cmd_cfrac(args):
     spec = _family_spec(args)
     a, b, d = families.family_egf_params(spec)
     jf = jacobi.jfraction_from_params(a, b, d, args.depth)
     config = _spec_config(spec) | {"depth": args.depth}
-    lines = [f"{spec.label()} continued-fraction weights"]
-    lines += [f"  s_{i} = {p}" for i, p in enumerate(jf.s)]
-    lines += [f"  t_{i} = {p}" for i, p in enumerate(jf.t, start=1)]
+    lines = [f"{spec.label()} continued-fraction weights", *_weight_lines(jf.s, jf.t)]
     return config, {"jfraction": jf.to_json()}, True, lines
 
 
@@ -181,8 +186,7 @@ def _cmd_prodmat(args):
         t = prod.t_values(prod.nrows - 1)
         result["s"] = [p.to_json() for p in s]
         result["t"] = [p.to_json() for p in t]
-        lines += [f"  s_{i} = {p}" for i, p in enumerate(s)]
-        lines += [f"  t_{i} = {p}" for i, p in enumerate(t, start=1)]
+        lines += _weight_lines(s, t)
     else:
         result["entries"] = prod.to_json()["entries"]
         lines.append("  (not tridiagonal; full entries in JSON output)")
@@ -205,9 +209,9 @@ def _cmd_check(args):
         mu = jacobi.moments_by_motzkin_paths(jf, args.nmax)
         config["nmax"] = args.nmax
         if args.mode == "qlcx":
-            report = convexity.check_q_log_convex(list(mu.mu))
+            report = convexity.check_q_log_convex(mu)
         else:
-            report = convexity.check_strong_q_log_convex(list(mu.mu))
+            report = convexity.check_strong_q_log_convex(mu)
     lines = [f"{spec.label()} {args.mode}: {'pass' if report.verdict else 'FAIL'}"]
     for w in report.witnesses:
         lines.append(f"  witness {w}")
@@ -264,24 +268,24 @@ def _cmd_conjecture(args):
     return config, result, report.verdict, lines
 
 
-def _moments_from_file(path: str) -> jacobi.MomentSeq:
+def _moments_from_file(path: str) -> list[QPoly]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
         data = data.get("mu")
     if not isinstance(data, list):
         raise ValueError("moment file must hold a JSON array (or {'mu': [...]})")
-    polys = []
-    for entry in data:
-        coeffs = entry if isinstance(entry, list) else [entry]
-        polys.append(QPoly(*(_exact(c) for c in coeffs)))
-    return jacobi.MomentSeq(tuple(polys))
+    entries = (e if isinstance(e, list) else [e] for e in data)
+    return [QPoly(*map(_exact, coeffs)) for coeffs in entries]
 
 
 def _cmd_invert_moments(args):
     if args.file and args.family:
         raise ValueError("give either --file or --family, not both")
     if args.file:
+        for name in ("t", "a", "d", "nmax"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} has no effect with --file")
         moments = _moments_from_file(args.file)
         config: dict = {"file": args.file}
     elif args.family:
@@ -296,9 +300,8 @@ def _cmd_invert_moments(args):
         raise ValueError("one of --file or --family is required")
     recovered = jacobi.jfraction_from_moments(moments, args.depth)
     config["depth"] = recovered.depth
-    lines = [f"recovered J-fraction of depth {recovered.depth}"]
-    lines += [f"  s_{i} = {p}" for i, p in enumerate(recovered.s)]
-    lines += [f"  t_{i} = {p}" for i, p in enumerate(recovered.t, start=1)]
+    lines = [f"recovered J-fraction of depth {recovered.depth}",
+             *_weight_lines(recovered.s, recovered.t)]
     return config, {"jfraction": recovered.to_json()}, True, lines
 
 
@@ -331,7 +334,7 @@ def _cmd_selftest(args):
         count = ncap + 1
         egf, cfrac, enum = (_table_rows(spec, route, count) for route in ("egf", "cfrac", "enum"))
         jf = jacobi.jfraction_from_params(*families.family_egf_params(spec), count)
-        motzkin = list(jacobi.moments_by_motzkin_paths(jf, count).mu)
+        motzkin = jacobi.moments_by_motzkin_paths(jf, count)
         label = spec.label()
         for n in range(count):
             for pair, okay in (

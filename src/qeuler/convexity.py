@@ -36,7 +36,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
-from .algebra import QPoly, Rat, as_fraction
+from .algebra import QPoly, Rat, as_fraction, as_qpoly
 from .families import eulerian_rows
 from .jacobi import JFraction, jfraction_from_params
 
@@ -101,16 +101,9 @@ def _first_negative(poly: QPoly) -> int:
     raise ValueError("polynomial has no negative coefficient")
 
 
-def _as_poly_sequence(seq: Sequence) -> list[QPoly]:
-    out = []
-    for f in seq:
-        out.append(f if isinstance(f, QPoly) else QPoly(f))
-    return out
-
-
 def check_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
     """Check f_{n-1} f_{n+1} >=_q f_n^2 for every interior index."""
-    polys = _as_poly_sequence(seq)
+    polys = [as_qpoly(f) for f in seq]
     if len(polys) < 3:
         raise ValueError("need at least three polynomials")
     witnesses: list[Witness] = []
@@ -135,7 +128,7 @@ def check_strong_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
     as f_{m-1} f_{n+1} for the pair (i + 1, sigma - i - 1).  Witnesses
     are reported in (m, n) order.
     """
-    polys = _as_poly_sequence(seq)
+    polys = [as_qpoly(f) for f in seq]
     if len(polys) < 3:
         raise ValueError("need at least three polynomials")
     witnesses: list[Witness] = []
@@ -217,8 +210,11 @@ def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
         (di+ab)(di+d+ab) + (ab^2 d - a^2 b^2) q
                          + (di+bd-ab)(di+d+bd-ab) q^2,
 
-    and ``bound_is_lower`` records whether gap - bound >=_q 0 (it is
-    whenever b >= 0 and d >= a >= 0).
+    and ``bound_is_lower`` records whether gap - bound >=_q 0.  As
+
+        gap - bound = q (d^2 i (i + 1 + b) + a b^2 (d - a)),
+
+    it is whenever b >= 0 and d >= a >= 0.
     """
     if i < 0:
         raise ValueError("i must be >= 0")

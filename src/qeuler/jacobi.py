@@ -4,8 +4,9 @@ A ``JFraction`` holds the weights of
 
     h(x) = 1 / (1 - s_0 x - t_1 x^2 / (1 - s_1 x - t_2 x^2 / (...)))
 
-whose Taylor coefficients mu_n are the moments of a linear functional.
-Three independent computations meet here and must agree exactly:
+whose Taylor coefficients mu_n are the moments of a linear functional,
+held as a plain tuple of ``QPoly``.  Three independent computations
+meet here and must agree exactly:
 
 * ``moments_by_motzkin_paths``   -- weighted lattice-path sums (level
   step at height i weighs s_i, down step from height i weighs t_i);
@@ -21,7 +22,8 @@ Three independent computations meet here and must agree exactly:
 
     Q_{n+1}(x) = (x - s_n) Q_n(x) - t_n Q_{n-1}(x)
 
-and ``jfraction_from_moments`` inverts moments back to weights by the
+and returns the coefficient rows of Q_0, Q_1, ... as a tuple of tuples;
+``jfraction_from_moments`` inverts moments back to weights by the
 Chebyshev algorithm (Gautschi 2004, section 2.1): the same recurrence
 run on the mixed moments sigma_{k,l} = <Q_k, x^l>, which needs only
 polynomial products and exact divisions in Q[q].  Its quotients are
@@ -34,13 +36,12 @@ rather than carried as a rational function, and a vanishing norm
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .algebra import ONE, QPoly, ZERO, as_fraction, poly_divmod, poly_dot
+from .algebra import ONE, QPoly, ZERO, as_fraction, as_qpoly, poly_divmod, poly_dot
 
 __all__ = [
     "JFraction",
-    "MomentSeq",
-    "OrthoBasis",
     "NonQuasiDefiniteError",
     "jfraction_from_params",
     "moments_by_motzkin_paths",
@@ -55,12 +56,6 @@ class NonQuasiDefiniteError(ValueError):
     """A norm <Q_k, x^k> vanished: the functional has no J-fraction."""
 
 
-def _as_qpoly(value) -> QPoly:
-    if isinstance(value, QPoly):
-        return value
-    return QPoly(value)
-
-
 @dataclass(frozen=True)
 class JFraction:
     """Continued-fraction weights; ``t[i]`` stores ``t_{i+1}``."""
@@ -69,8 +64,8 @@ class JFraction:
     t: tuple[QPoly, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", tuple(_as_qpoly(v) for v in self.s))
-        object.__setattr__(self, "t", tuple(_as_qpoly(v) for v in self.t))
+        object.__setattr__(self, "s", tuple(as_qpoly(v) for v in self.s))
+        object.__setattr__(self, "t", tuple(as_qpoly(v) for v in self.t))
         if not self.s:
             raise ValueError("at least s_0 is required")
         if len(self.t) != len(self.s) - 1:
@@ -91,47 +86,6 @@ class JFraction:
             tuple(QPoly.from_json(p) for p in data["s"]),
             tuple(QPoly.from_json(p) for p in data["t"]),
         )
-
-
-@dataclass(frozen=True)
-class MomentSeq:
-    """The moments mu_0, mu_1, ... of a linear functional, as polynomials."""
-
-    mu: tuple[QPoly, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", tuple(_as_qpoly(v) for v in self.mu))
-        if not self.mu:
-            raise ValueError("empty moment sequence")
-
-    def __len__(self) -> int:
-        return len(self.mu)
-
-    def to_json(self) -> dict:
-        return {"mu": [p.to_json() for p in self.mu]}
-
-    @classmethod
-    def from_json(cls, data) -> "MomentSeq":
-        return cls(tuple(QPoly.from_json(p) for p in data["mu"]))
-
-
-@dataclass(frozen=True)
-class OrthoBasis:
-    """Rows of monic orthogonal polynomials; ``rows[n][k] = [x^k] Q_n``."""
-
-    rows: tuple[tuple[QPoly, ...], ...]
-
-    def __post_init__(self) -> None:
-        for n, row in enumerate(self.rows):
-            if len(row) != n + 1 or row[-1] != ONE:
-                raise ValueError(f"row {n} is not a monic degree-{n} polynomial")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def to_json(self) -> list[list[list[str]]]:
-        return [[p.to_json() for p in row] for row in self.rows]
 
 
 def jfraction_from_params(a, b, d, depth: int) -> JFraction:
@@ -158,7 +112,7 @@ def _require_depth(jf: JFraction, height: int, what: str) -> None:
         )
 
 
-def moments_by_motzkin_paths(jf: JFraction, count: int) -> MomentSeq:
+def moments_by_motzkin_paths(jf: JFraction, count: int) -> tuple[QPoly, ...]:
     """mu_n as the total weight of closed lattice paths of length n.
 
     Paths live on heights 0..floor((count-1)/2); anything climbing
@@ -182,10 +136,10 @@ def moments_by_motzkin_paths(jf: JFraction, count: int) -> MomentSeq:
                 nxt[h - 1] = nxt[h - 1] + w * jf.t[h - 1]
         cur = nxt
         out.append(cur[0])
-    return MomentSeq(tuple(out))
+    return tuple(out)
 
 
-def moments_by_cfrac_expansion(jf: JFraction, count: int) -> MomentSeq:
+def moments_by_cfrac_expansion(jf: JFraction, count: int) -> tuple[QPoly, ...]:
     """mu_n by expanding the nested fraction through its convergents.
 
     With H = floor((count-1)/2), levels below H only influence x-powers
@@ -225,11 +179,11 @@ def moments_by_cfrac_expansion(jf: JFraction, count: int) -> MomentSeq:
     mu: list[QPoly] = []
     for c in num:
         mu.append(c - poly_dot(rest, reversed(mu)))
-    return MomentSeq(tuple(mu))
+    return tuple(mu)
 
 
-def orthogonal_basis(jf: JFraction, size: int) -> OrthoBasis:
-    """The first ``size`` monic orthogonal polynomials of the weights."""
+def orthogonal_basis(jf: JFraction, size: int) -> tuple[tuple[QPoly, ...], ...]:
+    """The first ``size`` monic orthogonal polynomials; ``rows[n][k] = [x^k] Q_n``."""
     if size < 1:
         raise ValueError("size must be positive")
     if len(jf.s) < size - 1 or len(jf.t) < max(0, size - 2):
@@ -248,28 +202,31 @@ def orthogonal_basis(jf: JFraction, size: int) -> OrthoBasis:
         for k, ck in enumerate(prev2):
             new[k] = new[k] - t * ck
         rows.append(tuple(new))
-    return OrthoBasis(tuple(rows))
+    return tuple(rows)
 
 
-def verify_orthogonality(basis: OrthoBasis, moments: MomentSeq) -> bool:
+def verify_orthogonality(basis: Sequence[Sequence[QPoly]], moments: Sequence[QPoly]) -> bool:
     """Check <Q_n, x^m> = 0 for m < n and <Q_n, x^n> != 0, exactly.
 
-    The norm check at the last row touches mu_{2(size-1)}, hence the
-    moment sequence must reach that index.
+    Row n of ``basis`` must be a monic Q_n of degree n.  The norm check
+    at the last row touches mu_{2(size-1)}, hence the moment sequence
+    must reach that index.
     """
-    size = basis.size
+    for n, row in enumerate(basis):
+        if len(row) != n + 1 or row[-1] != ONE:
+            raise ValueError(f"row {n} is not a monic degree-{n} polynomial")
+    size = len(basis)
     need = 2 * (size - 1)
     if len(moments) < need + 1:
         raise ValueError(f"need {need + 1} moments for {size} rows, have {len(moments)}")
-    mu = moments.mu
-    for n, row in enumerate(basis.rows):
+    for n, row in enumerate(basis):
         # <Q_n, x^m> = sum_k [x^k] Q_n mu_{k+m}
-        if any(poly_dot(row, mu[m:]) for m in range(n)) or not poly_dot(row, mu[n:]):
+        if any(poly_dot(row, moments[m:]) for m in range(n)) or not poly_dot(row, moments[n:]):
             return False
     return True
 
 
-def jfraction_from_moments(moments: MomentSeq, depth: int | None = None) -> JFraction:
+def jfraction_from_moments(moments: Sequence, depth: int | None = None) -> JFraction:
     """Recover (s, t) from moments by the Chebyshev algorithm.
 
     The mixed moments sigma_{k,l} = <Q_k, x^l> of the monic orthogonal
@@ -292,10 +249,13 @@ def jfraction_from_moments(moments: MomentSeq, depth: int | None = None) -> JFra
     weights are polynomials; a remainder raises ``ValueError`` naming
     the first nonpolynomial weight.  The cost is O(depth^2) polynomial
     products and 2*depth - 1 divisions, with no rational functions and no
-    gcd.  The convention mu_0 = 1 is enforced because the leading
-    "1/(1 - ...)" of the fraction cannot carry a scale factor.
+    gcd.  Entries pass through ``as_qpoly``; an empty sequence is refused,
+    and mu_0 = 1 is enforced because the leading "1/(1 - ...)" of the
+    fraction cannot carry a scale factor.
     """
-    mu = moments.mu
+    mu = [as_qpoly(v) for v in moments]
+    if not mu:
+        raise ValueError("empty moment sequence")
     if mu[0] != ONE:
         raise ValueError("moment inversion requires mu_0 = 1")
     max_depth = len(mu) // 2

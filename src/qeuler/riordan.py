@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, poly_dot
-from .series import TruncSeries, _coerce_poly, _egf_series_and_exp_d, compose_all
+from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, as_qpoly, poly_dot
+from .series import TruncSeries, _egf_series_and_exp_d, compose_all
 
 __all__ = [
     "ExpRiordan",
@@ -90,7 +90,7 @@ class LowerTri:
         for i, row in enumerate(rows):
             if len(row) != size:
                 raise ValueError("matrix must be square")
-            entries = tuple(_coerce_poly(e) for e in row)
+            entries = tuple(as_qpoly(e) for e in row)
             if any(not e.is_zero for e in entries[i + 1 :]):
                 raise ValueError(f"row {i} has nonzero entries above the diagonal")
             norm.append(entries)

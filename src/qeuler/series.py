@@ -25,18 +25,9 @@ so each quotient the expansion needs lies in Q[q].
 
 from __future__ import annotations
 
-from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, poly_divmod, poly_dot
+from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, as_qpoly, poly_divmod, poly_dot
 
 __all__ = ["TruncSeries", "compose_all", "egf_series", "egf_polynomials"]
-
-
-def _coerce_poly(value) -> QPoly:
-    poly = QPoly._coerce(value)
-    if poly is None:
-        raise TypeError(
-            f"coefficients in Q[q] are QPoly, int or Fraction, not {type(value).__name__}"
-        )
-    return poly
 
 
 class TruncSeries:
@@ -50,7 +41,7 @@ class TruncSeries:
     def __init__(self, order: int, coeffs=()):
         if order < 1:
             raise ValueError("a truncated series needs at least the constant term")
-        cs = [_coerce_poly(c) for c in coeffs]
+        cs = [as_qpoly(c) for c in coeffs]
         if len(cs) > order:
             raise ValueError(f"{len(cs)} coefficients exceed order {order}")
         cs.extend([ZERO] * (order - len(cs)))
@@ -98,7 +89,7 @@ class TruncSeries:
         if isinstance(other, TruncSeries):
             self._same_order(other)
             return TruncSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-        return self + TruncSeries.constant(self.order, _coerce_poly(other))
+        return self + TruncSeries.constant(self.order, other)
 
     __radd__ = __add__
 
@@ -106,14 +97,14 @@ class TruncSeries:
         return TruncSeries(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncSeries) else -_coerce_poly(other))
+        return self + (-other if isinstance(other, TruncSeries) else -as_qpoly(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            s = _coerce_poly(other)
+            s = as_qpoly(other)
             return TruncSeries(self.order, [c * s for c in self.coeffs])
         self._same_order(other)
         a, b = self.coeffs, other.coeffs
@@ -132,7 +123,7 @@ class TruncSeries:
         x-power and quotient.
         """
         if not isinstance(other, TruncSeries):
-            other = TruncSeries.constant(self.order, _coerce_poly(other))
+            other = TruncSeries.constant(self.order, other)
         self._same_order(other)
         lead, *rest = other.coeffs
         if lead.is_zero:
@@ -154,7 +145,7 @@ class TruncSeries:
         return TruncSeries(self.order, out)
 
     def __rtruediv__(self, other):
-        return TruncSeries.constant(self.order, _coerce_poly(other)) / self
+        return TruncSeries.constant(self.order, other) / self
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse ``1 / self``, exact in Q[q] or refused."""

@@ -37,7 +37,6 @@ from qeuler.families import (
 )
 from qeuler.jacobi import (
     JFraction,
-    MomentSeq,
     NonQuasiDefiniteError,
     jfraction_from_moments,
     jfraction_from_params,
@@ -82,8 +81,8 @@ def test_criterion_1_both_moment_routes_reproduce_the_generating_function():
         a, b, d = family_egf_params(spec)
         want = egf_polynomials(a, b, d, count)
         jf = jfraction_from_params(a, b, d, count)
-        by_paths = moments_by_motzkin_paths(jf, count).mu
-        by_cfrac = moments_by_cfrac_expansion(jf, count).mu
+        by_paths = moments_by_motzkin_paths(jf, count)
+        by_cfrac = moments_by_cfrac_expansion(jf, count)
         for n in range(count):
             assert by_paths[n] == want[n], (spec.label(), n, "paths")
             assert by_cfrac[n] == want[n], (spec.label(), n, "cfrac")
@@ -132,7 +131,7 @@ def test_criterion_3_inverse_matrix_rows_are_orthogonal_polynomials():
         basis = orthogonal_basis(jf, size)
         for n in range(size):
             for k in range(n + 1):
-                assert inv.entry(n, k) == QRatFun(basis.rows[n][k]), (a, b, d, n, k)
+                assert inv.entry(n, k) == QRatFun(basis[n][k]), (a, b, d, n, k)
         mu = moments_by_motzkin_paths(jf, 11)
         assert verify_orthogonality(orthogonal_basis(jf, 6), mu), (a, b, d)
     _passed("3 (matrix inverse rows coincide with orthogonal polynomials)")
@@ -157,7 +156,7 @@ def test_criterion_4_enumeration_agrees_with_analytic_routes():
         a, b, d = family_egf_params(spec)
         want = egf_polynomials(a, b, d, count)
         jf = jfraction_from_params(a, b, d, count)
-        moments = moments_by_cfrac_expansion(jf, count).mu
+        moments = moments_by_cfrac_expansion(jf, count)
         for n in range(count):
             enum = enumeration_polynomial(spec, n)
             assert enum == want[n], (spec.label(), n, "egf")
@@ -255,7 +254,7 @@ def test_criterion_8_negative_controls_are_rejected():
 
     # degenerate moments have no continued fraction
     with pytest.raises(NonQuasiDefiniteError):
-        jfraction_from_moments(MomentSeq((ONE, QPoly(), QPoly(), QPoly(), QPoly(), QPoly())), 3)
+        jfraction_from_moments((ONE, QPoly(), QPoly(), QPoly(), QPoly(), QPoly()), 3)
     _passed("8 (spiked sequence, bad weights, degenerate moments all refused)")
 
 

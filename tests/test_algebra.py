@@ -10,6 +10,7 @@ from qeuler.algebra import (
     ZERO,
     QRatFun,
     as_fraction,
+    as_qpoly,
     parse_rational,
     poly_divmod,
     poly_dot,
@@ -51,6 +52,17 @@ def test_as_fraction_refuses_floats_and_bools():
         as_fraction(0.5)
     with pytest.raises(TypeError):
         as_fraction(True)
+
+
+def test_as_qpoly_is_the_one_coercion_into_q_poly():
+    p = QPoly(1, 2)
+    assert as_qpoly(p) is p
+    assert as_qpoly(3) == QPoly(3)
+    assert as_qpoly(Fraction(-2, 5)) == QPoly(Fraction(-2, 5))
+    assert as_qpoly("7/3") == QPoly(Fraction(7, 3))
+    for bad in (0.5, True, None, QRatFun(1, QPoly(1, -1)), [1, 2]):
+        with pytest.raises(TypeError):
+            as_qpoly(bad)
 
 
 # -- QPoly basics ------------------------------------------------------------

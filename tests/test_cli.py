@@ -210,7 +210,7 @@ def test_invert_moments_from_file(tmp_path, capsys):
     jf = jacobi.jfraction_from_params(1, 1, 1, 4)
     mu = jacobi.moments_by_motzkin_paths(jf, 8)
     path = tmp_path / "mu.json"
-    path.write_text(json.dumps(mu.to_json()))
+    path.write_text(json.dumps({"mu": [p.to_json() for p in mu]}))
     code, payload = run_json(capsys, "invert-moments", "--file", str(path))
     assert code == 0
     assert JFraction.from_json(payload["result"]["jfraction"]) == jf
@@ -220,7 +220,7 @@ def test_invert_moments_accepts_integer_coefficient_lists(tmp_path, capsys):
     jf = jacobi.jfraction_from_params(1, 1, 2, 4)
     mu = jacobi.moments_by_motzkin_paths(jf, 8)
     path = tmp_path / "mu.json"
-    path.write_text(json.dumps([[int(c) for c in p] for p in mu.to_json()["mu"]]))
+    path.write_text(json.dumps([[int(c) for c in p.to_json()] for p in mu]))
     code, payload = run_json(capsys, "invert-moments", "--file", str(path))
     assert code == 0
     assert JFraction.from_json(payload["result"]["jfraction"]) == jf
@@ -282,6 +282,34 @@ def test_invert_moments_source_flags(capsys, tmp_path):
         capsys, "invert-moments", "--file", str(path), "--family", "TypeB"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--t", "5"), "--t"),
+        (("--a", "1"), "--a"),
+        (("--d", "2"), "--d"),
+        (("--nmax", "9"), "--nmax"),
+        (("--t", "5", "--a", "1", "--nmax", "9"), "--t"),
+        (("--d", "2", "--nmax", "9"), "--d"),
+    ],
+)
+def test_invert_moments_file_refuses_family_flags(capsys, tmp_path, flags, named):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([1, 1, 2, 4]))
+    code, out, err = run_cli(capsys, "invert-moments", "--file", str(path), *flags)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": f"{named} has no effect with --file"}
+
+
+@pytest.mark.parametrize("data", [[], {"mu": []}])
+def test_invert_moments_refuses_empty_file(capsys, tmp_path, data):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "invert-moments", "--file", str(path))
+    assert (code, out, err) == (2, "", '{"error": "empty moment sequence"}\n')
 
 
 # -- usage errors ----------------------------------------------------------------------

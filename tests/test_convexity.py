@@ -1,6 +1,7 @@
 """q-log-convexity checks, the weight criterion, and transform experiments."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,7 @@ def test_interleaved_spike_is_caught():
 
 def test_strong_check_subsumes_plain_check():
     jf = jfraction_from_params(1, 1, 2, 5)
-    mu = list(moments_by_motzkin_paths(jf, 9).mu)
+    mu = list(moments_by_motzkin_paths(jf, 9))
     strong = check_strong_q_log_convex(mu)
     plain = check_q_log_convex(mu)
     assert strong.verdict and plain.verdict
@@ -144,6 +145,23 @@ def test_weight_gap_boundary_case_touches_zero():
     assert res.bound_is_lower
     res2 = weight_gap(0, 0, 1, 1)
     assert res2.gap.constant == 0
+
+
+def test_weight_gap_minus_bound_is_the_stated_identity():
+    # gap - bound = q (d^2 i (i + 1 + b) + a b^2 (d - a)), the reason the
+    # bound is lower whenever b >= 0 and d >= a >= 0
+    rng = random.Random(20130)
+
+    def rat():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+    for _ in range(300):
+        a, b, d, i = rat(), rat(), rat(), rng.randint(0, 30)
+        res = weight_gap(i, a, b, d)
+        want = QPoly(0, d * d * i * (i + 1 + b) + a * b * b * (d - a))
+        assert res.gap - res.reference_bound == want, (a, b, d, i)
+        if b >= 0 and d >= a >= 0:
+            assert res.bound_is_lower, (a, b, d, i)
 
 
 def test_weight_gap_rejects_negative_index():

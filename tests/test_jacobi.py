@@ -9,7 +9,6 @@ from qeuler.algebra import QPoly
 from qeuler.families import Family, FamilySpec, family_egf_params
 from qeuler.jacobi import (
     JFraction,
-    MomentSeq,
     NonQuasiDefiniteError,
     jfraction_from_moments,
     jfraction_from_params,
@@ -52,12 +51,10 @@ def test_jfraction_json_round_trip():
     assert JFraction.from_json(jf.to_json()) == jf
 
 
-def test_moment_seq_basics():
-    with pytest.raises(ValueError):
-        MomentSeq(())
-    ms = MomentSeq((ONE, Q))
-    assert len(ms) == 2
-    assert MomentSeq.from_json(ms.to_json()) == ms
+def test_inversion_refuses_empty_moments():
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="empty moment sequence"):
+            jfraction_from_moments(empty)
 
 
 # -- closed-form weights ---------------------------------------------------------
@@ -90,14 +87,14 @@ def test_weights_accept_fractional_parameters():
 
 def test_motzkin_path_moments_hand_case():
     jf = JFraction((QPoly(2), QPoly(3)), (QPoly(5),))
-    mu = moments_by_motzkin_paths(jf, 4).mu
+    mu = moments_by_motzkin_paths(jf, 4)
     assert list(mu) == [ONE, QPoly(2), QPoly(9), QPoly(43)]
 
 
 def test_catalan_weights_give_catalan_moments():
     depth = 6
     jf = JFraction((ZERO,) * depth, (Q,) * (depth - 1))
-    mu = moments_by_motzkin_paths(jf, 11).mu
+    mu = moments_by_motzkin_paths(jf, 11)
     catalan = [1, 1, 2, 5, 14, 42]
     for n in range(11):
         if n % 2:
@@ -109,7 +106,7 @@ def test_catalan_weights_give_catalan_moments():
 def test_unit_weights_give_motzkin_numbers():
     depth = 6
     jf = JFraction((ONE,) * depth, (ONE,) * (depth - 1))
-    mu = moments_by_motzkin_paths(jf, 11).mu
+    mu = moments_by_motzkin_paths(jf, 11)
     motzkin = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
     assert [m.constant for m in mu] == motzkin
 
@@ -120,8 +117,8 @@ def test_both_moment_routes_agree_on_random_weights():
         jf = _numeric_jfraction(rng, 5)
         count = 9
         assert (
-            moments_by_motzkin_paths(jf, count).mu
-            == moments_by_cfrac_expansion(jf, count).mu
+            moments_by_motzkin_paths(jf, count)
+            == moments_by_cfrac_expansion(jf, count)
         )
 
 
@@ -129,16 +126,16 @@ def test_both_moment_routes_agree_on_polynomial_weights():
     jf = jfraction_from_params(1, 2, 3, 5)
     a = moments_by_motzkin_paths(jf, 9)
     b = moments_by_cfrac_expansion(jf, 9)
-    assert a.mu == b.mu
+    assert a == b
 
 
 def test_cfrac_edge_counts_by_hand():
     s0, s1 = QPoly(2, 1), QPoly(-1, 3)
     for t1 in (ZERO, QPoly(0, 5)):
         jf = JFraction((s0, s1), (t1,))
-        assert moments_by_cfrac_expansion(jf, 1).mu == (ONE,)
-        assert moments_by_cfrac_expansion(jf, 2).mu == (ONE, s0)
-        assert moments_by_cfrac_expansion(jf, 3).mu == (ONE, s0, s0 * s0 + t1)
+        assert moments_by_cfrac_expansion(jf, 1) == (ONE,)
+        assert moments_by_cfrac_expansion(jf, 2) == (ONE, s0)
+        assert moments_by_cfrac_expansion(jf, 3) == (ONE, s0, s0 * s0 + t1)
 
 
 def test_cfrac_matches_motzkin_on_type_b_at_40_rows():
@@ -182,10 +179,10 @@ def test_moments_need_enough_depth():
 def test_chebyshev_like_basis_from_constant_weights():
     jf = JFraction((ZERO,) * 4, (ONE,) * 3)
     basis = orthogonal_basis(jf, 4)
-    assert basis.rows[0] == (ONE,)
-    assert basis.rows[1] == (ZERO, ONE)
-    assert basis.rows[2] == (QPoly(-1), ZERO, ONE)
-    assert basis.rows[3] == (ZERO, QPoly(-2), ZERO, ONE)
+    assert basis[0] == (ONE,)
+    assert basis[1] == (ZERO, ONE)
+    assert basis[2] == (QPoly(-1), ZERO, ONE)
+    assert basis[3] == (ZERO, QPoly(-2), ZERO, ONE)
 
 
 def test_orthogonality_verifies_exactly():
@@ -199,11 +196,24 @@ def test_orthogonality_detects_wrong_rows():
     jf = jfraction_from_params(1, 1, 1, 6)
     basis = orthogonal_basis(jf, 4)
     mu = moments_by_motzkin_paths(jf, 7)
-    broken = type(basis)(
-        basis.rows[:3] + ((basis.rows[3][0] + 1,) + basis.rows[3][1:],)
-    )
+    broken = basis[:3] + ((basis[3][0] + 1,) + basis[3][1:],)
     assert verify_orthogonality(basis, mu)
     assert not verify_orthogonality(broken, mu)
+
+
+def test_orthogonality_refuses_rows_that_are_not_monic_of_degree_n():
+    jf = jfraction_from_params(1, 1, 1, 6)
+    basis = orthogonal_basis(jf, 4)
+    mu = moments_by_motzkin_paths(jf, 7)
+    not_monic = basis[:3] + (basis[3][:-1] + (QPoly(2),),)
+    with pytest.raises(ValueError, match="row 3 is not a monic degree-3 polynomial"):
+        verify_orthogonality(not_monic, mu)
+    too_short = basis[:2] + (basis[2][1:],)
+    with pytest.raises(ValueError, match="row 2 is not a monic degree-2 polynomial"):
+        verify_orthogonality(too_short, mu)
+    too_long = (basis[0] + (ZERO,),) + basis[1:]
+    with pytest.raises(ValueError, match="row 0 is not a monic degree-0 polynomial"):
+        verify_orthogonality(too_long, mu)
 
 
 def test_orthogonality_needs_enough_moments():
@@ -232,7 +242,7 @@ def test_inversion_round_trips_random_weights():
 
 def test_inversion_enforces_unit_leading_moment():
     with pytest.raises(ValueError):
-        jfraction_from_moments(MomentSeq((QPoly(2), ZERO)))
+        jfraction_from_moments((QPoly(2), ZERO))
 
 
 def test_inversion_depth_guard():
@@ -243,14 +253,14 @@ def test_inversion_depth_guard():
 
 
 def test_degenerate_moments_raise_non_quasi_definite():
-    mu = MomentSeq((ONE, ZERO, ZERO, ZERO, ZERO, ZERO))
+    mu = (ONE, ZERO, ZERO, ZERO, ZERO, ZERO)
     with pytest.raises(NonQuasiDefiniteError):
         jfraction_from_moments(mu, 3)
 
 
 def test_nonpolynomial_weights_are_reported():
     # mu = (1, q, q, 0) forces s_1 = (q^2 - 2q)/(1 - q)
-    mu = MomentSeq((ONE, Q, Q, ZERO))
+    mu = (ONE, Q, Q, ZERO)
     with pytest.raises(ValueError, match="nonpolynomial"):
         jfraction_from_moments(mu, 2)
 
