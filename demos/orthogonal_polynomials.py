@@ -27,11 +27,7 @@ for n, row in enumerate(basis):
     print(f"  Q_{n}(x) = {terms}")
 
 inv = lower_tri_inverse(riordan_matrix(exp_riordan_from_params(A, B, D, SIZE)))
-match = all(
-    inv.entry(n, k) == basis[n][k]
-    for n in range(SIZE)
-    for k in range(n + 1)
-)
+match = all(inv[n][: n + 1] == basis[n] for n in range(SIZE))
 print(f"\nrows of L^-1 equal the recurrence coefficients: {match}")
 
 mu = moments_by_motzkin_paths(jfraction_from_params(A, B, D, 2 * SIZE), 2 * SIZE - 1)

@@ -23,16 +23,17 @@ mat = riordan_matrix(arr)
 
 print(f"Riordan array for (a, b, d) = ({A}, {B}, {D}), first column:")
 for n in range(ORDER):
-    print(f"  l_{n},0 = {mat.entry(n, 0)}")
+    print(f"  l_{n},0 = {mat[n][0]}")
 
 direct = production_matrix_direct(mat)
 c, r = production_series(arr)
 formula = production_matrix_from_series(c, r)
 
 rows = min(direct.nrows, formula.nrows)
-cols = min(direct.ncols, formula.ncols)
 agree = all(
-    direct.entry(i, j) == formula.entry(i, j) for i in range(rows) for j in range(cols)
+    direct.entries[i][j] == entry
+    for i, row in enumerate(formula.entries)
+    for j, entry in enumerate(row)
 )
 print(f"\ndirect == formula on the overlap: {agree}")
 print(f"tridiagonal: {direct.tridiagonal}")

@@ -51,7 +51,6 @@ from .jacobi import (
 )
 from .riordan import (
     ExpRiordan,
-    LowerTri,
     ProductionData,
     exp_riordan_from_params,
     lower_tri_inverse,
@@ -75,7 +74,6 @@ __all__ = [
     "egf_polynomials",
     "egf_series",
     "ExpRiordan",
-    "LowerTri",
     "ProductionData",
     "exp_riordan_from_params",
     "lower_tri_inverse",

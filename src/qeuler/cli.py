@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", required=True, choices=("qlcx", "strong", "zhu"), help="which check to run"
     )
-    p.add_argument("--imax", type=_positive_int, default=50, help="index range for --mode zhu")
+    p.add_argument("--imax", type=_positive_int, help="index range for --mode zhu (default 50)")
 
     p = sub.add_parser("conjecture", parents=[common], help="triangle transform log-convexity evidence")
     p.add_argument("--triangle", required=True, choices=("A", "B"))
@@ -198,10 +198,15 @@ def _cmd_check(args):
     a, b, d = families.family_egf_params(spec)
     config = _spec_config(spec) | {"mode": args.mode}
     if args.mode == "zhu":
-        jf = jacobi.jfraction_from_params(a, b, d, args.imax + 2)
-        report = convexity.moment_convexity_criterion(jf, args.imax)
-        config["imax"] = args.imax
+        if args.nmax is not None:
+            raise ValueError("--nmax has no effect with --mode zhu")
+        imax = 50 if args.imax is None else args.imax
+        jf = jacobi.jfraction_from_params(a, b, d, imax + 2)
+        report = convexity.moment_convexity_criterion(jf, imax)
+        config["imax"] = imax
     else:
+        if args.imax is not None:
+            raise ValueError(f"--imax has no effect with --mode {args.mode}")
         if args.nmax is None:
             raise ValueError("--nmax is required for --mode qlcx/strong")
         depth = max(1, (args.nmax - 1) // 2 + 1)

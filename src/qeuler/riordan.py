@@ -22,6 +22,12 @@ Having both routes match, entry by entry, is one of the package's core
 cross-checks: a tridiagonal production matrix hands back exactly the
 Jacobi continued-fraction weights of the array's first column.
 
+A matrix here is a tuple of rows, each a tuple of ``QPoly``:
+``riordan_matrix`` and ``lower_tri_inverse`` return one, and
+``lower_tri_inverse`` and ``production_matrix_direct`` take any square
+lower-triangular rows.  ``ProductionData`` holds the rows of P and reads
+``tridiagonal`` and the bands from them.
+
 Every entry and series coefficient is a ``QPoly`` in Q[q], and each
 division is exact or refused.  For the (a, b, d) family the divisor of
 f is d (1 - q e^{d(1-q)x}), a unit up to the factor (1 - q) that every
@@ -34,13 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, as_qpoly, poly_dot
 from .series import TruncSeries, _egf_series_and_exp_d, compose_all
 
 __all__ = [
     "ExpRiordan",
-    "LowerTri",
     "ProductionData",
     "exp_riordan_from_params",
     "riordan_matrix",
@@ -73,90 +79,28 @@ class ExpRiordan:
         return self.g.order
 
 
-def _entry_json(entry: QPoly) -> dict[str, list[str]]:
-    return {"num": entry.to_json(), "den": ["1"]}
-
-
-class LowerTri:
-    """Square lower-triangular matrix with entries in Q[q]."""
-
-    __slots__ = ("rows",)
-
-    rows: tuple[tuple[QPoly, ...], ...]
-
-    def __init__(self, rows):
-        norm: list[tuple[QPoly, ...]] = []
-        size = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != size:
-                raise ValueError("matrix must be square")
-            entries = tuple(as_qpoly(e) for e in row)
-            if any(not e.is_zero for e in entries[i + 1 :]):
-                raise ValueError(f"row {i} has nonzero entries above the diagonal")
-            norm.append(entries)
-        if not norm:
-            raise ValueError("empty matrix")
-        object.__setattr__(self, "rows", tuple(norm))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LowerTri is immutable")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> QPoly:
-        return self.rows[i][j]
-
-    @classmethod
-    def identity(cls, size: int) -> "LowerTri":
-        return cls([[ONE if i == j else ZERO for j in range(size)] for i in range(size)])
-
-    def __matmul__(self, other: "LowerTri") -> "LowerTri":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        columns = list(zip(*other.rows))
-        return LowerTri([[poly_dot(row, col) for col in columns] for row in self.rows])
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LowerTri):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("LowerTri", self.rows))
-
-    def to_json(self) -> list[list[dict]]:
-        return [[_entry_json(e) for e in row] for row in self.rows]
-
-    def __repr__(self) -> str:
-        return f"LowerTri(size={self.size})"
-
-
 @dataclass(frozen=True)
 class ProductionData:
-    """A production matrix window and whether it is tridiagonal.
+    """A production matrix window: the rows ``entries[0..nrows-1]`` of P.
 
-    ``entries[i][j]`` covers rows ``0..nrows-1`` and columns
-    ``0..ncols-1``; everything the window can see beyond column ``i+1``
-    must be zero for ``tridiagonal`` to be set, and then the diagonal
-    carries ``s_i`` and the subdiagonal ``t_i`` with a unit
-    superdiagonal.
+    ``tridiagonal`` holds when every entry the window can see off the
+    three central diagonals is zero and the superdiagonal is 1; the
+    diagonal then carries ``s_i`` and the subdiagonal ``t_i``.
     """
 
     entries: tuple[tuple[QPoly, ...], ...]
-    tridiagonal: bool
 
     @property
     def nrows(self) -> int:
         return len(self.entries)
 
     @property
-    def ncols(self) -> int:
-        return len(self.entries[0])
-
-    def entry(self, i: int, j: int) -> QPoly:
-        return self.entries[i][j]
+    def tridiagonal(self) -> bool:
+        return all(
+            (e == ONE) if j == i + 1 else (abs(i - j) <= 1 or e.is_zero)
+            for i, row in enumerate(self.entries)
+            for j, e in enumerate(row)
+        )
 
     def s_values(self, count: int) -> list[QPoly]:
         """Diagonal entries s_0 .. s_{count-1}."""
@@ -172,20 +116,9 @@ class ProductionData:
 
     def to_json(self) -> dict:
         return {
-            "entries": [[_entry_json(e) for e in row] for row in self.entries],
+            "entries": [[{"num": e.to_json(), "den": ["1"]} for e in row] for row in self.entries],
             "tridiagonal": self.tridiagonal,
         }
-
-
-def _tridiagonal(entries: list[list[QPoly]]) -> bool:
-    for i, row in enumerate(entries):
-        for j, e in enumerate(row):
-            if j == i + 1:
-                if e != ONE:
-                    return False
-            elif (j > i + 1 or j < i - 1) and not e.is_zero:
-                return False
-    return True
 
 
 def exp_riordan_from_params(a: Rat | str, b: Rat | str, d: Rat | str, order: int) -> ExpRiordan:
@@ -204,56 +137,70 @@ def exp_riordan_from_params(a: Rat | str, b: Rat | str, d: Rat | str, order: int
     return ExpRiordan(g, f)
 
 
-def riordan_matrix(arr: ExpRiordan) -> LowerTri:
-    """Materialize l[n][k] = (n!/k!) [x^n] g f^k for n, k < order."""
+def riordan_matrix(arr: ExpRiordan) -> tuple[tuple[QPoly, ...], ...]:
+    """The rows of l[n][k] = (n!/k!) [x^n] g f^k for n, k < order."""
     n = arr.order
-    fact = [1] * n
-    for i in range(1, n):
-        fact[i] = fact[i - 1] * i
-    rows = [[ZERO] * n for _ in range(n)]
+    cols = []
     col = arr.g
     for k in range(n):
-        for i in range(k, n):
-            scale = Fraction(fact[i], fact[k])
-            rows[i][k] = col.coeffs[i] * scale
+        cols.append(
+            [ZERO] * k
+            + [col.coeffs[i] * Fraction(factorial(i), factorial(k)) for i in range(k, n)]
+        )
         if k + 1 < n:
             col = col * arr.f
-    return LowerTri(rows)
+    return tuple(zip(*cols))
 
 
-def _solve_lower(mat: LowerTri, rhs) -> list[list[QPoly]]:
+def _solve_lower(mat, rhs) -> tuple[tuple[QPoly, ...], ...]:
     """The rows of X with mat X = rhs, by forward substitution over Q[q].
 
-    ``rhs`` may hold fewer rows than ``mat``; row i of X needs only rows
-    0 .. i of ``mat``.  Every diagonal entry of ``mat`` is checked first,
-    all of them, and must be a unit of Q[q], a nonzero rational, so that
-    each step divides exactly by a scalar; any other diagonal is refused
-    with ``ValueError``.
+    ``mat`` must be a nonempty list of square lower-triangular rows; its
+    entries, and those of ``rhs``, pass through ``as_qpoly``.  ``rhs``
+    may hold fewer rows than ``mat``; row i of X needs only rows 0 .. i
+    of ``mat``.  Every diagonal entry of ``mat`` is checked first, all of
+    them, and must be a unit of Q[q], a nonzero rational, so that each
+    step divides exactly by a scalar; any other matrix is refused with
+    ``ValueError``.
     """
+    rows: list[tuple[QPoly, ...]] = []
+    for i, row in enumerate(mat):
+        if len(row) != len(mat):
+            raise ValueError("matrix must be square")
+        rows.append(tuple(map(as_qpoly, row)))
+        if any(not e.is_zero for e in rows[i][i + 1 :]):
+            raise ValueError(f"row {i} has nonzero entries above the diagonal")
+    if not rows:
+        raise ValueError("empty matrix")
     diag: list[Fraction] = []
-    for i, row in enumerate(mat.rows):
+    for i, row in enumerate(rows):
         e = row[i]
         if e.is_zero:
             raise ValueError(f"diagonal entry {i} is zero; matrix not invertible")
         if e.degree != 0:
             raise ValueError(f"diagonal entry {i} is {e}, not a unit of Q[q]")
         diag.append(e.constant)
-    out: list[list[QPoly]] = []
+    out: list[tuple[QPoly, ...]] = []
     for i, row in enumerate(rhs):
-        left = mat.rows[i][:i]
+        left = rows[i][:i]
         out.append(
-            [(b - poly_dot(left, [x[j] for x in out])) / diag[i] for j, b in enumerate(row)]
+            tuple(
+                (as_qpoly(b) - poly_dot(left, [x[j] for x in out])) / diag[i]
+                for j, b in enumerate(row)
+            )
         )
-    return out
+    return tuple(out)
 
 
-def lower_tri_inverse(mat: LowerTri) -> LowerTri:
-    """Inverse by forward substitution over Q[q]: the X with mat X = I.
+def lower_tri_inverse(mat) -> tuple[tuple[QPoly, ...], ...]:
+    """The rows of mat^{-1} by forward substitution over Q[q]: mat X = I.
 
-    Each diagonal entry must be a unit of Q[q], a nonzero rational; any
-    other diagonal is refused with ``ValueError``.
+    ``mat`` is any square lower-triangular list of rows, and each
+    diagonal entry must be a unit of Q[q], a nonzero rational; any other
+    matrix is refused with ``ValueError``.
     """
-    return LowerTri(_solve_lower(mat, LowerTri.identity(mat.size).rows))
+    n = len(mat)
+    return _solve_lower(mat, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
 
 def production_series(arr: ExpRiordan) -> tuple[TruncSeries, TruncSeries]:
@@ -275,50 +222,35 @@ def production_matrix_from_series(c: TruncSeries, r: TruncSeries) -> ProductionD
     """Assemble p[i][j] = (i!/j!)(c[i-j] + j r[i-j+1]) on the valid window.
 
     With c and r known to index M-1, row i needs r[i+1], so rows
-    0 .. M-2 are available.
+    0 .. M-2 and columns 0 .. M-1 are available.
     """
     if c.order != r.order:
         raise ValueError("c and r must share a truncation order")
-    m = c.order
-    if m < 2:
+    if c.order < 2:
         raise ValueError("need at least two known coefficients")
-    nrows = m - 1
-    ncols = nrows + 1
-    fact = [1] * (ncols + 1)
-    for i in range(1, ncols + 1):
-        fact[i] = fact[i - 1] * i
-    entries: list[list[QPoly]] = []
-    for i in range(nrows):
-        row = []
-        for j in range(ncols):
-            if j > i + 1:
-                row.append(ZERO)
-                continue
-            diff = i - j
-            term = c.coeffs[diff] if diff >= 0 else ZERO
-            if j:
-                term = term + j * r.coeffs[diff + 1]
-            row.append(term * Fraction(fact[i], fact[j]))
-        entries.append(row)
-    return ProductionData(
-        entries=tuple(tuple(row) for row in entries),
-        tridiagonal=_tridiagonal(entries),
-    )
+
+    def entry(i: int, j: int) -> QPoly:
+        if j > i + 1:
+            return ZERO
+        term = c.coeffs[i - j] if j <= i else ZERO
+        if j:
+            term = term + j * r.coeffs[i - j + 1]
+        return term * Fraction(factorial(i), factorial(j))
+
+    m = c.order
+    return ProductionData(tuple(tuple(entry(i, j) for j in range(m)) for i in range(m - 1)))
 
 
-def production_matrix_direct(mat: LowerTri) -> ProductionData:
-    """P from L P = Lbar, solved from the matrix alone.
+def production_matrix_direct(mat) -> ProductionData:
+    """P from L P = Lbar, solved from the rows of L alone.
 
     Lbar drops the top row of L, so with L of size N one forward
     substitution gives P on rows 0 .. N-2 and all N columns, without
     forming L^{-1}.  P is lower Hessenberg, so with zero factors skipped
     the solve costs about N^2 entry products for a tridiagonal P.
+    ``mat`` is refused as in ``lower_tri_inverse``, and so is a 1x1 one.
     """
-    n = mat.size
-    if n < 2:
+    entries = _solve_lower(mat, mat[1:])
+    if not entries:
         raise ValueError("need at least a 2x2 window")
-    entries = _solve_lower(mat, mat.rows[1:])
-    return ProductionData(
-        entries=tuple(tuple(row) for row in entries),
-        tridiagonal=_tridiagonal(entries),
-    )
+    return ProductionData(entries)

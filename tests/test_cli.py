@@ -142,6 +142,29 @@ def test_check_requires_nmax_for_polynomial_modes(capsys):
     assert "nmax" in err
 
 
+@pytest.mark.parametrize(
+    "mode,flags,named",
+    [
+        ("zhu", ("--nmax", "9"), "--nmax"),
+        ("zhu", ("--nmax", "9", "--imax", "6"), "--nmax"),
+        ("strong", ("--nmax", "9", "--imax", "3"), "--imax"),
+        ("qlcx", ("--nmax", "9", "--imax", "50"), "--imax"),
+        ("strong", ("--imax", "3"), "--imax"),
+    ],
+)
+def test_check_refuses_the_other_modes_size_flag(capsys, mode, flags, named):
+    code, out, err = run_cli(capsys, "check", "--family", "TypeB", "--mode", mode, *flags)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"{named} has no effect with --mode {mode}"}
+
+
+def test_check_zhu_defaults_imax_to_50(capsys):
+    code, payload = run_json(capsys, "check", "--family", "TypeB", "--mode", "zhu")
+    assert code == 0
+    assert payload["config"]["imax"] == 50
+    assert payload["result"]["report"]["checked_range"] == [1, 50]
+
+
 # -- conjecture ------------------------------------------------------------------------
 
 

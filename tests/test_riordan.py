@@ -6,10 +6,9 @@ from math import comb
 
 import pytest
 
-from qeuler.algebra import Q, ZERO, QPoly
+from qeuler.algebra import ONE, Q, ZERO, QPoly, poly_dot
 from qeuler.riordan import (
     ExpRiordan,
-    LowerTri,
     exp_riordan_from_params,
     lower_tri_inverse,
     production_matrix_direct,
@@ -27,6 +26,28 @@ def _rf(value):
 def _pascal_pair(order):
     # g = e^x, f = x gives the Pascal matrix
     return ExpRiordan(TruncSeries.x(order).exp(), TruncSeries.x(order))
+
+
+def _identity(size):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size))
+
+
+def _times(left, right):
+    return tuple(tuple(poly_dot(row, col) for col in zip(*right)) for row in left)
+
+
+def _non_tridiagonal_pair(order):
+    # g = 1, f = x + x^2: r = f'(fbar) = sqrt(1 + 4x) fills every column of P
+    x = TruncSeries.x(order)
+    return ExpRiordan(TruncSeries.constant(order, 1), x + x * x)
+
+
+def _assert_routes_agree(direct, formula):
+    assert formula.nrows == direct.nrows - 1
+    for i, row in enumerate(formula.entries):
+        assert len(row) == len(direct.entries[i]) - 1
+        for j, entry in enumerate(row):
+            assert direct.entries[i][j] == entry, (i, j)
 
 
 # -- validation ----------------------------------------------------------------
@@ -48,25 +69,17 @@ def test_exp_riordan_validates_shape():
 
 
 def test_lower_tri_rejects_upper_entries_and_ragged_rows():
-    with pytest.raises(ValueError):
-        LowerTri([[_rf(1), _rf(2)], [_rf(0), _rf(1)]])
-    with pytest.raises(ValueError):
-        LowerTri([[_rf(1)], [_rf(1), _rf(1)]])  # rows must be square
-
-
-def test_lower_tri_identity_and_matmul():
-    eye = LowerTri.identity(3)
-    m = LowerTri(
-        [
-            [_rf(1), _rf(0), _rf(0)],
-            [_rf(2), _rf(1), _rf(0)],
-            [_rf(3), _rf(4), _rf(1)],
-        ]
-    )
-    assert eye @ m == m
-    assert m @ eye == m
-    assert m.entry(2, 0) == _rf(3)
-    assert m.entry(0, 2) == _rf(0)
+    cases = [
+        ([[_rf(1), _rf(2)], [_rf(0), _rf(1)]], "row 0 has nonzero entries above the diagonal"),
+        ([[_rf(1)], [_rf(1), _rf(1)]], "matrix must be square"),
+        ([[1, 0, 0], [2, 1, 0], [3, 4]], "matrix must be square"),
+        ([], "empty matrix"),
+    ]
+    for solve in (lower_tri_inverse, production_matrix_direct):
+        for rows, message in cases:
+            with pytest.raises(ValueError) as error:
+                solve(rows)
+            assert str(error.value) == message, (solve.__name__, rows)
 
 
 # -- matrices from (g, f) --------------------------------------------------------
@@ -75,14 +88,12 @@ def test_lower_tri_identity_and_matmul():
 def test_pascal_matrix_and_inverse():
     order = 7
     mat = riordan_matrix(_pascal_pair(order))
-    for n in range(order):
-        for k in range(n + 1):
-            assert mat.entry(n, k) == _rf(comb(n, k))
+    assert mat == tuple(tuple(_rf(comb(n, k)) for k in range(order)) for n in range(order))
     inv = lower_tri_inverse(mat)
     for n in range(order):
         for k in range(n + 1):
-            assert inv.entry(n, k) == _rf((-1) ** (n - k) * comb(n, k))
-    assert inv @ mat == LowerTri.identity(order)
+            assert inv[n][k] == _rf((-1) ** (n - k) * comb(n, k))
+    assert _times(inv, mat) == _identity(order)
 
 
 def test_first_column_holds_the_polynomials():
@@ -91,29 +102,25 @@ def test_first_column_holds_the_polynomials():
     want = [QPoly(1), QPoly(1), QPoly(1, 1), QPoly(1, 4, 1), QPoly(1, 11, 11, 1)]
     for n, poly in enumerate(want):
         # column 0 entry is n! [x^n] g, a polynomial in q
-        assert mat.entry(n, 0) == poly
+        assert mat[n][0] == poly
 
 
 def test_singular_diagonal_has_no_inverse():
-    m = LowerTri([[_rf(1), _rf(0)], [_rf(2), _rf(0)]])
-    with pytest.raises(ValueError):
+    m = [[_rf(1), _rf(0)], [_rf(2), _rf(0)]]
+    with pytest.raises(ValueError, match="not invertible"):
         lower_tri_inverse(m)
 
 
 def test_inverse_refuses_a_nonconstant_diagonal():
     # 1/q is not in Q[q], so no step of forward substitution may divide by it
-    m = LowerTri([[_rf(1), _rf(0)], [_rf(2), QPoly(0, 1)]])
+    m = [[_rf(1), _rf(0)], [_rf(2), QPoly(0, 1)]]
     with pytest.raises(ValueError, match="not a unit"):
         lower_tri_inverse(m)
     # a nonzero rational diagonal divides exactly
-    half = LowerTri([[_rf(2), _rf(0)], [QPoly(0, 1), _rf(1)]])
-    assert lower_tri_inverse(half) @ half == LowerTri.identity(2)
-
-
-def test_json_keeps_the_num_den_form():
-    mat = riordan_matrix(exp_riordan_from_params(1, 1, 2, 3))
-    assert mat.to_json()[2][0] == {"num": ["1", "6", "1"], "den": ["1"]}
-    assert mat.to_json()[0][1] == {"num": [], "den": ["1"]}
+    half = ((_rf(2), _rf(0)), (QPoly(0, 1), _rf(1)))
+    inv = lower_tri_inverse(half)
+    assert inv[0][0] == _rf(Fraction(1, 2))
+    assert _times(inv, half) == _identity(2)
 
 
 def test_exp_riordan_from_params_rejects_d_zero():
@@ -141,11 +148,38 @@ def test_production_matrix_two_routes_agree(a, b, d):
     direct = production_matrix_direct(riordan_matrix(arr))
     c, r = production_series(arr)
     formula = production_matrix_from_series(c, r)
-    rows = min(direct.nrows, formula.nrows)
-    for i in range(rows):
-        for j in range(min(direct.ncols, formula.ncols)):
-            assert direct.entry(i, j) == formula.entry(i, j), (a, b, d, i, j)
+    _assert_routes_agree(direct, formula)
     assert direct.tridiagonal and formula.tridiagonal
+
+
+def test_non_tridiagonal_production_matrix_on_both_routes():
+    arr = _non_tridiagonal_pair(7)
+    direct = production_matrix_direct(riordan_matrix(arr))
+    formula = production_matrix_from_series(*production_series(arr))
+    _assert_routes_agree(direct, formula)
+    assert direct.tridiagonal is False and formula.tridiagonal is False
+    # column 1 is n! [x^n] r(x) = n! [x^n] sqrt(1 + 4x), nonzero below the subdiagonal
+    assert [row[1] for row in direct.entries] == [_rf(v) for v in (1, 2, -4, 24, -240, 3360)]
+
+
+def test_json_keeps_the_num_den_form():
+    # the form `prodmat` prints when P is not tridiagonal; (3, 1) = 24 is below the band
+    prod = production_matrix_direct(riordan_matrix(_non_tridiagonal_pair(5)))
+    assert prod.to_json() == {
+        "entries": [
+            [{"num": num, "den": ["1"]} for num in row]
+            for row in (
+                ([], ["1"], [], [], []),
+                ([], ["2"], ["1"], [], []),
+                ([], ["-4"], ["4"], ["1"], []),
+                ([], ["24"], ["-12"], ["6"], ["1"]),
+            )
+        ],
+        "tridiagonal": False,
+    }
+    tri = production_matrix_direct(riordan_matrix(exp_riordan_from_params(1, 1, 2, 3)))
+    assert tri.to_json()["entries"][1][0] == {"num": ["0", "4"], "den": ["1"]}
+    assert tri.to_json()["tridiagonal"] is True
 
 
 def test_production_weights_match_closed_forms():
@@ -162,7 +196,7 @@ def test_production_weights_match_closed_forms():
 def test_production_matrix_shape_and_json():
     arr = exp_riordan_from_params(1, 1, 2, 6)
     prod = production_matrix_direct(riordan_matrix(arr))
-    assert prod.nrows == 5 and prod.ncols == 6
+    assert prod.nrows == 5 and {len(row) for row in prod.entries} == {6}
     data = prod.to_json()
     assert data["tridiagonal"] is True
     assert len(data["entries"]) == prod.nrows
@@ -177,8 +211,8 @@ def test_defining_identity_l_times_p_is_shifted_l():
         for j in range(n + 2):
             acc = QPoly(0)
             for k in range(n + 1):
-                acc = acc + mat.entry(n, k) * prod.entry(k, j)
-            assert acc == mat.entry(n + 1, j)
+                acc = acc + mat[n][k] * prod.entries[k][j]
+            assert acc == mat[n + 1][j]
 
 
 def test_non_family_array_still_consistent():
@@ -192,9 +226,7 @@ def test_non_family_array_still_consistent():
     direct = production_matrix_direct(riordan_matrix(arr))
     c, r = production_series(arr)
     formula = production_matrix_from_series(c, r)
-    for i in range(min(direct.nrows, formula.nrows)):
-        for j in range(min(direct.ncols, formula.ncols)):
-            assert direct.entry(i, j) == formula.entry(i, j)
+    _assert_routes_agree(direct, formula)
 
 
 def test_production_requires_enough_terms():
@@ -208,14 +240,14 @@ def test_production_requires_enough_terms():
 def _inverse_times_shifted(mat):
     """P = L^{-1} Lbar by inverting L and multiplying with a plain loop."""
     inv = lower_tri_inverse(mat)
-    n = mat.size
+    n = len(mat)
     out = []
     for i in range(n - 1):
         row = []
         for j in range(n):
             acc = QPoly(0)
             for k in range(i + 1):
-                acc = acc + inv.entry(i, k) * mat.entry(k + 1, j)
+                acc = acc + inv[i][k] * mat[k + 1][j]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -239,9 +271,8 @@ def test_direct_solve_equals_inverse_times_shifted_matrix():
 @pytest.mark.parametrize("bad,message", [(ZERO, "not invertible"), (Q, "not a unit")])
 def test_direct_solve_checks_the_last_diagonal_entry(bad, message):
     # row N-1 is only read through Lbar, yet its diagonal is still checked
-    rows = [list(row) for row in riordan_matrix(exp_riordan_from_params(1, 1, 2, 5)).rows]
-    rows[-1][-1] = bad
-    mat = LowerTri(rows)
+    mat = [list(row) for row in riordan_matrix(exp_riordan_from_params(1, 1, 2, 5))]
+    mat[-1][-1] = bad
     with pytest.raises(ValueError, match=message) as inverse_error:
         lower_tri_inverse(mat)
     with pytest.raises(ValueError) as direct_error:
