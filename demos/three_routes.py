@@ -15,10 +15,10 @@ def show(spec: FamilySpec, nmax: int) -> None:
     count = nmax + 1
     egf = egf_polynomials(a, b, d, count)
     moments = moments_by_motzkin_paths(jfraction_from_params(a, b, d, count), count)
+    enum = enumeration_polynomial(spec, count)
     print(f"\n{spec.label()}  (a={a}, b={b}, d={d})")
     for n in range(count):
-        enum = enumeration_polynomial(spec, n)
-        marks = "ok " if egf[n] == moments[n] == enum else "XXX"
+        marks = "ok " if egf[n] == moments[n] == enum[n] else "XXX"
         print(f"  n={n}  [{marks}]  {egf[n]}")
 
 

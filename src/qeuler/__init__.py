@@ -34,7 +34,6 @@ from .families import (
     eulerian_numbers_type_b,
     excedance_cycle_polynomial,
     family_egf_params,
-    general_eulerian_polynomial,
     recurrence_polynomial,
     signed_descent_polynomial,
     type_b_polynomial,
@@ -97,7 +96,6 @@ __all__ = [
     "eulerian_numbers_type_b",
     "excedance_cycle_polynomial",
     "family_egf_params",
-    "general_eulerian_polynomial",
     "recurrence_polynomial",
     "signed_descent_polynomial",
     "type_b_polynomial",

@@ -143,8 +143,8 @@ def _table_rows(spec: FamilySpec, route: str, count: int) -> Sequence[QPoly]:
         jf = jacobi.jfraction_from_params(a, b, d, count)
         return jacobi.moments_by_cfrac_expansion(jf, count)
     if route == "enum":
-        return [families.enumeration_polynomial(spec, n) for n in range(count)]
-    return [families.recurrence_polynomial(spec, n) for n in range(count)]
+        return families.enumeration_polynomial(spec, count)
+    return families.recurrence_polynomial(a, b, d, count)
 
 
 def _cmd_table(args):

@@ -23,7 +23,7 @@ simpler quadratic that is claimed to bound it from below.
 conjectures: applying either Eulerian triangle to a log-convex input
 sequence, does log-convexity survive?  Both triangles are rows of the
 one integer recurrence ``families.eulerian_rows``: type A at
-(a, d) = (1, 1) and type B at (1, 2).  It proves nothing; it computes
+(ab, bd, d) = (1, 1, 1) and type B at (1, 2, 2).  It proves nothing; it computes
 ``z_n = sum_k triangle(n,k) x_k`` exactly and reports any witnesses.
 """
 
@@ -237,10 +237,10 @@ class Triangle(enum.Enum):
     EULERIAN_B = "B"
 
 
-#: The (a, d) parameters of each triangle in ``families.eulerian_rows``.
+#: The (ab, bd, d) forms of each triangle in ``families.eulerian_rows``.
 _TRIANGLE_ROWS = {
-    Triangle.EULERIAN_A: (1, 1),
-    Triangle.EULERIAN_B: (1, 2),
+    Triangle.EULERIAN_A: (1, 1, 1),
+    Triangle.EULERIAN_B: (1, 2, 2),
 }
 
 

@@ -14,8 +14,9 @@ whole group) because they serve as independent oracles for the
 generating-function and continued-fraction routes.  Distributions are
 cached per n, so evaluating at several t values costs one walk.
 
-Type A, type B and General read one integer triangle, ``eulerian_rows``,
-at (a, d) = (1, 1), (1, 2) and the General parameters.
+Every family's recurrence route is one integer triangle, ``eulerian_rows``,
+on the linear forms (ab, bd, d); type A is (1, 1, 1) and type B (1, 2, 2).
+``type_b_polynomial`` is kept only as an independent check of type B.
 
 Two normalization quirks are encoded once, in ``enumeration_polynomial``:
 the excedance statistic carries a conventional extra factor q (so the
@@ -49,7 +50,6 @@ __all__ = [
     "eulerian_numbers_type_a",
     "eulerian_numbers_type_b",
     "type_b_polynomial",
-    "general_eulerian_polynomial",
     "enumeration_polynomial",
     "recurrence_polynomial",
     "t_zero_comparison_table",
@@ -210,43 +210,45 @@ def signed_descent_polynomial(n: int, t: Rat | str, cap: int = SIGNED_CAP) -> QP
 # -- recurrences -------------------------------------------------------------
 
 
-def eulerian_rows(a: int, d: int, n_max: int) -> Iterator[list[int]]:
-    """Rows 0 .. n_max of the (a, d) Eulerian triangle, in one pass.
+def eulerian_rows(ab: int, bd: int, d: int, n_max: int) -> Iterator[list[int]]:
+    """Rows 0 .. n_max of the (a, b, d) Eulerian triangle, in one pass.
 
     Row n holds the coefficients of T_n(q), constant term first:
 
-        T(n, j) = (a + j d) T(n-1, j) + ((n+1-j) d - a) T(n-1, j-1),  T(0, 0) = 1.
+        T(n, j) = (ab + j d) T(n-1, j) + ((n-j) d + bd - ab) T(n-1, j-1),  T(0, 0) = 1,
 
-    Row n has length n+1.  (a, d) = (1, 1) is the descent triangle of S_n,
-    whose top entry is 0 for n >= 1 (its factor at j = n is d - a), and
-    (1, 2) is the signed-descent triangle of B_n.  Both factors are
-    linear forms in (a, d), so row n is homogeneous of degree n in
-    (a, d): rational parameters A/D, E/D give row n of (A, E) divided by
-    D^n, and the rows need only integers.  The next row is built from
-    the one yielded, so callers must not modify it.
+    which is T_n = (ab + (bd - ab + (n-1) d) q) T_{n-1} + d q (1-q) T'_{n-1}.
+    Row n has length n+1.  (1, 1, 1) is the descent triangle of S_n,
+    whose top entry is 0 for n >= 1 (its factor at j = n is bd - ab), and
+    (1, 2, 2) is the signed-descent triangle of B_n.  Both factors are
+    linear in (ab, bd, d), so row n is homogeneous of degree n: rational
+    forms AB/D, BD/D, E/D give row n of (AB, BD, E) divided by D^n, and
+    the rows need only integers.  The next row is built from the one
+    yielded, so callers must not modify it.
     """
+    shift = bd - ab
     row = [1]
     yield row
     for n in range(1, n_max + 1):
         prev = [0, *row, 0]  # prev[j + 1] = T(n-1, j), zero outside 0 <= j < n
-        row = [(a + j * d) * prev[j + 1] + ((n + 1 - j) * d - a) * prev[j] for j in range(n + 1)]
+        row = [(ab + j * d) * prev[j + 1] + ((n - j) * d + shift) * prev[j] for j in range(n + 1)]
         yield row
 
 
-def _last_row(a: int, d: int, n: int) -> list[int]:
+def _last_row(ab: int, bd: int, d: int, n: int) -> list[int]:
     if n < 0:
         raise ValueError("n must be >= 0")
-    return deque(eulerian_rows(a, d, n), maxlen=1).pop()
+    return deque(eulerian_rows(ab, bd, d, n), maxlen=1).pop()
 
 
 def eulerian_numbers_type_a(n: int) -> list[int]:
     """Row n of the descent triangle of S_n (length n+1, trailing 0 for n>=1)."""
-    return _last_row(1, 1, n)
+    return _last_row(1, 1, 1, n)
 
 
 def eulerian_numbers_type_b(n: int) -> list[int]:
     """Row n of the signed-descent triangle (length n+1)."""
-    return _last_row(1, 2, n)
+    return _last_row(1, 2, 2, n)
 
 
 def type_b_polynomial(n: int) -> QPoly:
@@ -254,10 +256,10 @@ def type_b_polynomial(n: int) -> QPoly:
 
         P_n = [(2n-1)q + 1] P_{n-1} + 2q(1-q) P'_{n-1},  P_0 = 1.
 
-    The 2q(1-q) factor is forced: expanding the (1, 2) triangle recurrence
+    The 2q(1-q) factor is forced: expanding the (1, 2, 2) triangle recurrence
     B(n,k) = (2k+1)B(n-1,k) + (2n-2k+1)B(n-1,k-1) termwise gives
-    P_n = (1 + (2n-1)q) P_{n-1} + 2q P'_{n-1} - 2q^2 P'_{n-1}.  It is
-    an independent check of that triangle.
+    P_n = (1 + (2n-1)q) P_{n-1} + 2q P'_{n-1} - 2q^2 P'_{n-1}.  No route
+    uses it: it is an independent check of that triangle.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -267,52 +269,49 @@ def type_b_polynomial(n: int) -> QPoly:
     return poly
 
 
-def general_eulerian_polynomial(n: int, a: Rat | str, d: Rat | str) -> QPoly:
-    """The two-parameter Eulerian polynomial matching the (a, 1, d) EGF.
+# -- routes --------------------------------------------------------------------
 
-    Row n of ``eulerian_rows`` on the numerators of a and d over their
-    common denominator D, divided once by D^n.
+
+def recurrence_polynomial(a: Rat | str, b: Rat | str, d: Rat | str, count: int) -> list[QPoly]:
+    """The recurrence route: T_0 .. T_{count-1} of the (a, b, d) EGF, in one pass.
+
+    ``eulerian_rows`` runs on the numerators of ab, bd and d over their
+    common denominator D, and row n is divided once by D^n.
     """
-    fa, fd = as_fraction(a), as_fraction(d)
-    den = lcm(fa.denominator, fd.denominator)
-    num_a, num_d = (c.numerator * (den // c.denominator) for c in (fa, fd))
-    return QPoly(*_last_row(num_a, num_d, n)) / den**n
+    fa, fb, fd = (as_fraction(v) for v in (a, b, d))
+    forms = (fa * fb, fb * fd, fd)
+    den = lcm(*(f.denominator for f in forms))
+    nums = (f.numerator * (den // f.denominator) for f in forms)
+    rows = zip(range(count), eulerian_rows(*nums, count - 1))
+    return [QPoly(*row) / den**n for n, row in rows]
 
 
-# -- route dispatch -----------------------------------------------------------
+def enumeration_polynomial(spec: FamilySpec, count: int) -> list[QPoly]:
+    """The combinatorial route: T_0 .. T_{count-1}, aligned to the EGF normalization.
 
-
-def enumeration_polynomial(spec: FamilySpec, n: int, cap: int | None = None) -> QPoly:
-    """The combinatorial route to T_n, aligned to the EGF normalization.
-
-    n = 0 returns 1 for every family (the empty group).  For the
-    excedance family the walk produces q * T_n, so the result is divided
-    by q; for TypeA the descent walk produces T_n / q, so it is
-    multiplied.  Everything else is the raw statistic.
+    T_0 = 1 for every family (the empty group).  For the excedance
+    family the walk produces q * T_n, so the result is divided by q; for
+    TypeA the descent walk produces T_n / q, so it is multiplied.  The
+    signed families are the raw statistic.  General has no group walk:
+    its rows are the recurrence's.  A table past the walk cap is refused
+    before any group is walked.
     """
-    if n == 0:
-        return ONE
     fam = spec.family
+    if fam is Family.GENERAL:
+        return recurrence_polynomial(spec.a, 1, spec.d, count)
+    cap = DESCENT_CAP
     if fam is Family.TYPE_A_SHIFTED:
-        return descent_polynomial(n, cap or DESCENT_CAP)
-    if fam is Family.TYPE_A:
-        return Q * descent_polynomial(n, cap or DESCENT_CAP)
-    if fam is Family.TYPE_A_QT:
-        return excedance_cycle_polynomial(n, spec.t, cap or DESCENT_CAP).divide_by_q()
-    if fam is Family.TYPE_B:
-        return signed_descent_polynomial(n, 1, cap or SIGNED_CAP)
-    if fam is Family.TYPE_B_QT:
-        return signed_descent_polynomial(n, spec.t, cap or SIGNED_CAP)
-    return general_eulerian_polynomial(n, spec.a, spec.d)
-
-
-def recurrence_polynomial(spec: FamilySpec, n: int) -> QPoly:
-    """Recurrence route where one exists (TypeB, General)."""
-    if spec.family is Family.TYPE_B:
-        return type_b_polynomial(n)
-    if spec.family is Family.GENERAL:
-        return general_eulerian_polynomial(n, spec.a, spec.d)
-    raise ValueError(f"no recurrence route for {spec.family.value}")
+        walk = descent_polynomial
+    elif fam is Family.TYPE_A:
+        walk = lambda n: Q * descent_polynomial(n)
+    elif fam is Family.TYPE_A_QT:
+        walk = lambda n: excedance_cycle_polynomial(n, spec.t).divide_by_q()
+    else:
+        t = 1 if spec.t is None else spec.t
+        walk, cap = (lambda n: signed_descent_polynomial(n, t)), SIGNED_CAP
+    if count - 1 > cap:
+        walk(cap + 1)  # raises the error an upward walk would meet, before walking any group
+    return [ONE, *map(walk, range(1, count))][:count]
 
 
 def t_zero_comparison_table(nmax: int = 6) -> list[dict]:

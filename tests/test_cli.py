@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import qeuler.families as families
 import qeuler.jacobi as jacobi
 from qeuler.cli import main
+from qeuler.families import eulerian_rows
 from qeuler.jacobi import JFraction
 
 
@@ -66,6 +68,50 @@ def test_table_recurrence_route(capsys):
         "--nmax", "5", "--route", "egf",
     )
     assert payload["result"]["rows"] == payload2["result"]["rows"]
+
+
+@pytest.mark.parametrize("route", ["recurrence", "enum"])
+def test_general_table_builds_one_triangle(capsys, monkeypatch, route):
+    starts = []
+
+    def counting_rows(*args):
+        starts.append(args)
+        return eulerian_rows(*args)
+
+    monkeypatch.setattr(families, "eulerian_rows", counting_rows)
+    code, payload = run_json(
+        capsys,
+        "table", "--family", "General", "--a", "1", "--d", "3",
+        "--nmax", "50", "--route", route,
+    )
+    assert code == 0
+    assert len(payload["result"]["rows"]) == 50
+    assert len(starts) == 1
+
+
+@pytest.mark.parametrize(
+    "family,nmax,error",
+    [
+        (("--family", "TypeB"), "9",
+         "signed_descent_polynomial enumerates groups only for 1 <= n <= 7, got 8"),
+        (("--family", "TypeB_qt", "--t", "2"), "12",
+         "signed_descent_polynomial enumerates groups only for 1 <= n <= 7, got 8"),
+        (("--family", "TypeA"), "10",
+         "descent_polynomial enumerates groups only for 1 <= n <= 8, got 9"),
+        (("--family", "TypeA_qt", "--t", "2"), "11",
+         "excedance_cycle_polynomial enumerates groups only for 1 <= n <= 8, got 9"),
+    ],
+    ids=["TypeB", "TypeB_qt", "TypeA", "TypeA_qt"],
+)
+def test_over_cap_enum_table_is_refused_before_any_walk(capsys, monkeypatch, family, nmax, error):
+    def no_walk(n):
+        raise AssertionError(f"walked a group of size {n}")
+
+    for walk in ("_descent_counts", "_exc_cycle_counts", "_signed_descent_counts"):
+        monkeypatch.setattr(families, walk, no_walk)
+    code, out, err = run_cli(capsys, "table", *family, "--nmax", nmax, "--route", "enum")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": error}
 
 
 def test_table_text_format(capsys):
@@ -341,7 +387,6 @@ def test_invert_moments_refuses_empty_file(capsys, tmp_path, data):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("table", "--family", "TypeA", "--nmax", "3", "--route", "recurrence"),
         ("table", "--family", "TypeB", "--t", "1", "--nmax", "3", "--route", "egf"),
         ("table", "--family", "TypeA_qt", "--nmax", "3", "--route", "egf"),
         ("cfrac", "--family", "TypeA_qt", "--t", "0.5", "--depth", "3"),
@@ -349,6 +394,7 @@ def test_invert_moments_refuses_empty_file(capsys, tmp_path, data):
         ("table", "--family", "TypeA", "--nmax", "0", "--route", "egf"),
         ("bogus",),
         (),
+        ("table", "--family", "TypeB", "--nmax", "9", "--route", "enum"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -1,10 +1,12 @@
 """Combinatorial routes: descents, excedances, signed permutations, triangles."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from qeuler.algebra import QPoly
+from qeuler.cli import main
 from qeuler.families import (
     DESCENT_CAP,
     SIGNED_CAP,
@@ -16,12 +18,12 @@ from qeuler.families import (
     eulerian_numbers_type_b,
     excedance_cycle_polynomial,
     family_egf_params,
-    general_eulerian_polynomial,
     recurrence_polynomial,
     signed_descent_polynomial,
     t_zero_comparison_table,
     type_b_polynomial,
 )
+from qeuler.jacobi import jfraction_from_params, moments_by_cfrac_expansion
 from qeuler.series import egf_polynomials
 
 Q = QPoly(0, 1)
@@ -147,20 +149,21 @@ def test_type_b_recurrence_matches_triangle_and_enumeration():
         assert type_b_polynomial(n) == signed_descent_polynomial(n, 1)
 
 
-# -- the two-parameter triangle --------------------------------------------------------
+# -- the (a, b, d) triangle -------------------------------------------------------------
 
 
 def test_general_polynomial_unit_parameters_recover_descents():
+    rows = recurrence_polynomial(1, 1, 1, 7)
     for n in range(1, 7):
-        assert general_eulerian_polynomial(n, 1, 1) == descent_polynomial(n, cap=8)
+        assert rows[n] == descent_polynomial(n, cap=8)
 
 
 def test_general_polynomial_first_rows():
-    assert general_eulerian_polynomial(0, 2, 5) == 1
-    assert general_eulerian_polynomial(1, 2, 5) == QPoly(2, 3)
-    # T_1 = a + (d-a) q for any parameters
-    for a, d in [(0, 1), (1, 3), (Fraction(1, 2), Fraction(5, 2))]:
-        assert general_eulerian_polynomial(1, a, d) == QPoly(a, Fraction(d) - Fraction(a))
+    assert recurrence_polynomial(2, 1, 5, 2) == [1, QPoly(2, 3)]
+    # T_1 = ab + (bd - ab) q for any parameters
+    for a, b, d in [(0, 1, 1), (1, 1, 3), (Fraction(1, 2), 3, Fraction(5, 2)), (2, -1, 0)]:
+        fa, fb, fd = Fraction(a), Fraction(b), Fraction(d)
+        assert recurrence_polynomial(a, b, d, 2)[1] == QPoly(fa * fb, fb * fd - fa * fb)
 
 
 def test_general_polynomial_matches_generating_function():
@@ -168,9 +171,47 @@ def test_general_polynomial_matches_generating_function():
     rational = [(Fraction(2, 3), Fraction(5, 3)), (Fraction(1, 4), Fraction(5, 4))]
     negative = [(Fraction(-1, 2), Fraction(3, 7)), (Fraction(3, 5), Fraction(-2))]
     for a, d in [(1, 2), (1, 3), (2, 5), (0, 1), *rational, *negative]:
-        want = egf_polynomials(a, 1, d, 8)
-        for n in range(8):
-            assert general_eulerian_polynomial(n, a, d) == want[n], (a, d, n)
+        assert recurrence_polynomial(a, 1, d, 8) == egf_polynomials(a, 1, d, 8), (a, d)
+    # b != 1 puts a third form, bd, into the common denominator
+    for a, b, d in [(1, Fraction(4, 3), 1), (Fraction(2, 3), Fraction(-3, 2), Fraction(5, 7))]:
+        assert recurrence_polynomial(a, b, d, 8) == egf_polynomials(a, b, d, 8), (a, b, d)
+
+
+def _triangle_copy(a, b, d, count, *, b_factor=True, derivative_sign=1):
+    """The (a, b, d) recurrence in polynomial form, optionally with one defect:
+
+        T_n = (ab + (bd - ab + (n-1) d) q) T_{n-1} + d q (1-q) T'_{n-1}.
+    """
+    ab, bd = a * b, (b if b_factor else 1) * d
+    rows = [QPoly(1)]
+    for n in range(1, count):
+        prev = rows[-1]
+        step = QPoly(ab, bd - ab + (n - 1) * d) * prev
+        rows.append(step + derivative_sign * d * QPoly(0, 1, -1) * prev.derivative())
+    return rows
+
+
+def test_triangle_mutants_disagree_with_the_generating_function():
+    a, b, d = Fraction(1), Fraction(2), Fraction(3, 2)
+    want = egf_polynomials(a, b, d, 10)
+    assert _triangle_copy(a, b, d, 10) == want == recurrence_polynomial(a, b, d, 10)
+    assert _triangle_copy(a, b, d, 10, b_factor=False) != want
+    assert _triangle_copy(a, b, d, 10, derivative_sign=-1) != want
+
+
+def test_recurrence_equals_egf_and_cfrac_on_random_triples():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(rational, rational, rational)
+    def check(a, b, d):
+        count = 10
+        cfrac = list(moments_by_cfrac_expansion(jfraction_from_params(a, b, d, count), count))
+        assert recurrence_polynomial(a, b, d, count) == egf_polynomials(a, b, d, count) == cfrac
+
+    check()
 
 
 # -- route dispatch -----------------------------------------------------------------
@@ -189,9 +230,7 @@ def test_general_polynomial_matches_generating_function():
 )
 def test_enumeration_matches_generating_function(spec):
     a, b, d = family_egf_params(spec)
-    want = egf_polynomials(a, b, d, 6)
-    for n in range(6):
-        assert enumeration_polynomial(spec, n) == want[n], (spec.label(), n)
+    assert enumeration_polynomial(spec, 6) == egf_polynomials(a, b, d, 6), spec.label()
 
 
 def test_enumeration_at_zero_is_one_everywhere():
@@ -202,14 +241,26 @@ def test_enumeration_at_zero_is_one_everywhere():
             spec = FamilySpec(fam, a=1, d=2)
         else:
             spec = FamilySpec(fam)
-        assert enumeration_polynomial(spec, 0) == 1
+        assert enumeration_polynomial(spec, 1) == [1]
 
 
-def test_recurrence_route_exists_only_where_advertised():
-    assert recurrence_polynomial(FamilySpec(Family.TYPE_B), 2) == QPoly(1, 6, 1)
-    assert recurrence_polynomial(FamilySpec(Family.GENERAL, a=1, d=1), 3) == QPoly(1, 4, 1)
-    with pytest.raises(ValueError):
-        recurrence_polynomial(FamilySpec(Family.TYPE_A), 3)
+def test_recurrence_route_exists_for_every_family(capsys):
+    specs = [
+        ("--family", "TypeA"),
+        ("--family", "TypeA_shifted"),
+        ("--family", "TypeA_qt", "--t", "4/3"),
+        ("--family", "TypeA_qt", "--t=-2"),
+        ("--family", "TypeB"),
+        ("--family", "TypeB_qt", "--t=-3/2"),
+        ("--family", "General", "--a", "3", "--d", "1"),
+        ("--family", "General", "--a=-1/2", "--d", "3/7"),
+    ]
+    for spec in specs:
+        rows = {}
+        for route in ("recurrence", "egf", "cfrac"):
+            assert main(["table", *spec, "--nmax", "12", "--route", route]) == 0, (spec, route)
+            rows[route] = json.loads(capsys.readouterr().out)["result"]["rows"]
+        assert rows["recurrence"] == rows["egf"] == rows["cfrac"], spec
 
 
 def test_t_zero_table_reports_the_shift():
