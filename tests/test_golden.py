@@ -9,6 +9,7 @@ digest.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -71,6 +72,30 @@ GOLDEN = [
      "2dcc7e292d91fb5839fafe6f7edc00898f2899bdda9ef653a6c52edc0dc8631b"),
     (("invert-moments", "--family", "TypeA_qt", "--t", "0", "--nmax", "8"), 2,
      "9f973b722667839fa131e6d90d01bd4cff81c6bceb480848c062e537ac64b4b6"),
+    (("cfrac", *_TYPE_B, "--depth", "6"), 0,
+     "0cb181156c2145029bfb1b99552964621dabbc05898d35c912f54f78b7e56b46"),
+    (("check", *_TYPE_A_QT, "--mode", "qlcx", "--nmax", "14"), 0,
+     "68e8ecd5ec82f35f068b92b1bf6adade67a5f195787cb33cd30f5332aea54ad9"),
+    (("invert-moments", *_GENERAL, "--nmax", "12", "--format", "text"), 0,
+     "a6d0fa5e136bdbdc84db60fcccf7e9e8e967690eb1dde037e3d8f8c4bf942884"),
+]
+
+#: Input files for the cases below, written into the working directory so
+#: the path echoed in ``config`` is the same on every run.
+_FILES = {
+    # the moments of the (a, b, d) = (1, 1/2, 3/2) weights, in both entry forms
+    "mu.json": {"mu": [1, ["1/2", "1/4"], ["1/4", "11/8", "1/16"],
+                       ["1/8", "57/16", "21/8", "1/64"],
+                       ["1/16", "247/32", "1329/64", "299/64", "1/256"],
+                       ["1/32", "1013/64", "3499/32", "23257/256", "4199/512", "1/1024"]]},
+    "x.json": [1, "3/2", 3, "15/2", "45/2"],
+}
+
+FILE_GOLDEN = [
+    (("invert-moments", "--file", "mu.json"), 0,
+     "f9906363e4349f6c1d2e2c0e34e512f71320d4a0e688cc5e068fafed75124f9f"),
+    (("conjecture", "--triangle", "A", "--seq", "x.json", "--nmax", "4"), 0,
+     "b1533c0f3e883d6e1a8e27d30c10ad29a1ff492583f690c67e6bccf4da938e9f"),
 ]
 
 
@@ -79,6 +104,20 @@ GOLDEN = [
 )
 def test_cli_output_bytes_are_golden(argv, code, digest, capsys):
     assert cli.main(list(argv)) == code
+    assert _digest(capsys) == digest
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", FILE_GOLDEN, ids=[" ".join(argv) for argv, _, _ in FILE_GOLDEN]
+)
+def test_file_input_output_bytes_are_golden(argv, code, digest, tmp_path, monkeypatch, capsys):
+    for name, data in _FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(list(argv)) == code
+    assert _digest(capsys) == digest
+
+
+def _digest(capsys) -> str:
     out, err = capsys.readouterr()
-    got = hashlib.sha256(out.encode() + b"\0" + err.encode()).hexdigest()
-    assert got == digest
+    return hashlib.sha256(out.encode() + b"\0" + err.encode()).hexdigest()
