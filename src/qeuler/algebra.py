@@ -26,8 +26,9 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
 
 No floating point enters at any stage.  Rationals serialize as ``"p/q"``
 (or ``"p"`` when the denominator is 1), which is exactly ``str()`` of a
-``Fraction``; polynomials serialize as JSON arrays of such strings with
-the list index giving the power of ``q``.
+``Fraction``; ``QPoly.to_json`` gives a list of such strings with the
+list index giving the power of ``q``.  These are the only JSON forms in
+the library: ``cli`` encodes every other value from them.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class QPoly:
     _den: int
 
     def __init__(self, *coeffs: Rat | str):
-        cs = [as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else as_fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         _set_parts(self, [c.numerator * (den // c.denominator) for c in cs], den)
 

@@ -5,6 +5,10 @@ no floating point is emitted anywhere.  Output is deterministic byte
 for byte for a fixed invocation: the envelope carries only the tool
 name and version, never timestamps.
 
+Only this module writes JSON: handlers return library values and
+``_json_value`` encodes them.  The entries of a non-tridiagonal
+production matrix keep the ``{"num": ..., "den": ["1"]}`` quotient form.
+
 Exit codes: 0 all checks passed, 1 a verification produced witnesses,
 2 usage or configuration error (including inputs whose preconditions
 fail mid-computation, like non-quasi-definite moments).
@@ -13,6 +17,8 @@ fail mid-computation, like non-quasi-definite moments).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import os
 import sys
@@ -40,6 +46,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_family_params(parser: argparse.ArgumentParser) -> None:
+    # argparse takes "-3/2" for an option, so a negative value needs "--t=-3/2"
+    for name, used_by in (("t", "qt families"), ("a", "General"), ("d", "General")):
+        text = f"{name} parameter ({used_by}); write a negative one as --{name}=-3/2"
+        parser.add_argument(f"--{name}", type=_rational, help=text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qeuler",
@@ -63,9 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[f.value for f in Family],
         help="polynomial family",
     )
-    fam.add_argument("--t", type=_rational, help="t parameter (qt families)")
-    fam.add_argument("--a", type=_rational, help="a parameter (General)")
-    fam.add_argument("--d", type=_rational, help="d parameter (General)")
+    _add_family_params(fam)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,9 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert-moments", parents=[common], help="moments back to J-fraction weights")
     p.add_argument("--family", choices=[f.value for f in Family], help="take moments from a family")
-    p.add_argument("--t", type=_rational)
-    p.add_argument("--a", type=_rational)
-    p.add_argument("--d", type=_rational)
+    _add_family_params(p)
     p.add_argument("--nmax", type=_positive_int, help="number of family moments to generate")
     p.add_argument("--file", help="JSON moment sequence instead of a family")
     p.add_argument("--depth", type=_positive_int, help="inversion depth (default: moments//2)")
@@ -151,10 +160,9 @@ def _cmd_table(args):
     spec = _family_spec(args)
     rows = _table_rows(spec, args.route, args.nmax)
     config = _spec_config(spec) | {"nmax": args.nmax, "route": args.route}
-    result = {"rows": [p.to_json() for p in rows]}
     lines = [f"{spec.label()} via {args.route}"]
     lines += [f"  n={n}: {p}" for n, p in enumerate(rows)]
-    return config, result, True, lines
+    return config, {"rows": rows}, True, lines
 
 
 def _weight_lines(s: Sequence[QPoly], t: Sequence[QPoly]) -> list[str]:
@@ -169,7 +177,7 @@ def _cmd_cfrac(args):
     jf = jacobi.jfraction_from_params(a, b, d, args.depth)
     config = _spec_config(spec) | {"depth": args.depth}
     lines = [f"{spec.label()} continued-fraction weights", *_weight_lines(jf.s, jf.t)]
-    return config, {"jfraction": jf.to_json()}, True, lines
+    return config, {"jfraction": jf}, True, lines
 
 
 def _cmd_prodmat(args):
@@ -184,11 +192,10 @@ def _cmd_prodmat(args):
     if prod.tridiagonal:
         s = prod.s_values(prod.nrows)
         t = prod.t_values(prod.nrows - 1)
-        result["s"] = [p.to_json() for p in s]
-        result["t"] = [p.to_json() for p in t]
+        result |= {"s": s, "t": t}
         lines += _weight_lines(s, t)
     else:
-        result["entries"] = prod.to_json()["entries"]
+        result["entries"] = [[{"num": e, "den": ["1"]} for e in row] for row in prod.entries]
         lines.append("  (not tridiagonal; full entries in JSON output)")
     return config, result, True, lines
 
@@ -220,7 +227,7 @@ def _cmd_check(args):
     lines = [f"{spec.label()} {args.mode}: {'pass' if report.verdict else 'FAIL'}"]
     for w in report.witnesses:
         lines.append(f"  witness {w}")
-    return config, {"report": report.to_json()}, report.verdict, lines
+    return config, {"report": report}, report.verdict, lines
 
 
 def _exact(value) -> Fraction:
@@ -259,10 +266,7 @@ def _cmd_conjecture(args):
     xs = _load_sequence(args.seq, args.nmax + 1)
     report = convexity.transform_log_convexity_experiment(triangle, xs, args.nmax)
     config = {"triangle": args.triangle, "seq": args.seq, "nmax": args.nmax}
-    result = {
-        "input": [str(v) for v in xs[: args.nmax + 1]],
-        "report": report.to_json(),
-    }
+    result = {"input": xs[: args.nmax + 1], "report": report}
     lines = [
         f"triangle {args.triangle} applied to {args.seq}: "
         f"{'log-convexity preserved' if report.verdict else 'WITNESSES FOUND'}",
@@ -307,7 +311,7 @@ def _cmd_invert_moments(args):
     config["depth"] = recovered.depth
     lines = [f"recovered J-fraction of depth {recovered.depth}",
              *_weight_lines(recovered.s, recovered.t)]
-    return config, {"jfraction": recovered.to_json()}, True, lines
+    return config, {"jfraction": recovered}, True, lines
 
 
 _T_GRID = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
@@ -378,6 +382,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _json_value(obj):
+    """The JSON form of a library value: the ``default`` of ``json.dumps``.
+
+    A dataclass is its fields in declaration order; a type not handled
+    here raises ``TypeError``.  Floats never reach this hook.
+    """
+    if isinstance(obj, QPoly):
+        return obj.to_json()
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        # not dataclasses.asdict: it deep-copies, and QPoly refuses to be copied
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -399,5 +421,5 @@ def main(argv: list[str] | None = None) -> int:
             "config": config,
             "result": result,
         }
-        _emit(json.dumps(envelope, indent=2), args.out)
+        _emit(json.dumps(envelope, indent=2, default=_json_value), args.out)
     return 0 if okay else 1

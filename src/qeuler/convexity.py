@@ -25,6 +25,7 @@ sequence, does log-convexity survive?  Both triangles are rows of the
 one integer recurrence ``families.eulerian_rows``: type A at
 (ab, bd, d) = (1, 1, 1) and type B at (1, 2, 2).  It proves nothing; it computes
 ``z_n = sum_k triangle(n,k) x_k`` exactly and reports any witnesses.
+The reports are plain dataclasses, and ``cli`` writes them as JSON.
 """
 
 from __future__ import annotations
@@ -69,13 +70,6 @@ class ConvexityReport:
     witnesses: tuple[Witness, ...]
     checked_range: tuple[int, int]
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witnesses": [list(w) for w in self.witnesses],
-            "checked_range": list(self.checked_range),
-        }
-
 
 @dataclass(frozen=True)
 class CriterionReport(ConvexityReport):
@@ -84,13 +78,6 @@ class CriterionReport(ConvexityReport):
     hypothesis_nonneg: bool = True
     hypothesis_witnesses: tuple[tuple[str, int, int], ...] = ()
     gap_at_zero_nonneg: bool = True
-
-    def to_json(self) -> dict:
-        data = super().to_json()
-        data["hypothesis_nonneg"] = self.hypothesis_nonneg
-        data["hypothesis_witnesses"] = [list(w) for w in self.hypothesis_witnesses]
-        data["gap_at_zero_nonneg"] = self.gap_at_zero_nonneg
-        return data
 
 
 def _first_negative(poly: QPoly) -> int:
@@ -194,13 +181,6 @@ class GapResult:
     reference_bound: QPoly
     bound_is_lower: bool
 
-    def to_json(self) -> dict:
-        return {
-            "gap": self.gap.to_json(),
-            "reference_bound": self.reference_bound.to_json(),
-            "bound_is_lower": self.bound_is_lower,
-        }
-
 
 def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
     """Expand s_i s_{i+1} - t_{i+1} for the closed-form family weights.
@@ -252,14 +232,6 @@ class TransformReport:
     z: tuple[Fraction, ...]
     verdict: bool
     witnesses: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "triangle": self.triangle.value,
-            "z": [str(v) for v in self.z],
-            "verdict": self.verdict,
-            "witnesses": list(self.witnesses),
-        }
 
 
 def transform_log_convexity_experiment(

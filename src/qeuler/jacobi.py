@@ -30,7 +30,8 @@ polynomial products and exact divisions in Q[q].  Its quotients are
 identically s_0 + ... + s_k and t_k, so when the weights are
 polynomials every division leaves no remainder; a remainder is refused
 rather than carried as a rational function, and a vanishing norm
-<Q_k, x^k> means the functional is not quasi-definite.
+<Q_k, x^k> means the functional is not quasi-definite.  ``cli`` writes
+a ``JFraction`` as JSON; this module has no serialization.
 """
 
 from __future__ import annotations
@@ -76,16 +77,6 @@ class JFraction:
     @property
     def depth(self) -> int:
         return len(self.s)
-
-    def to_json(self) -> dict:
-        return {"s": [p.to_json() for p in self.s], "t": [p.to_json() for p in self.t]}
-
-    @classmethod
-    def from_json(cls, data) -> "JFraction":
-        return cls(
-            tuple(QPoly.from_json(p) for p in data["s"]),
-            tuple(QPoly.from_json(p) for p in data["t"]),
-        )
 
 
 def jfraction_from_params(a, b, d, depth: int) -> JFraction:

@@ -32,8 +32,8 @@ Every entry and series coefficient is a ``QPoly`` in Q[q], and each
 division is exact or refused.  For the (a, b, d) family the divisor of
 f is d (1 - q e^{d(1-q)x}), a unit up to the factor (1 - q) that every
 numerator carries, and the diagonal of L is g_0 f_1^k = 1, so g, f,
-fbar, c, r and L all have polynomial coefficients.  JSON keeps the
-``{"num": ..., "den": ["1"]}`` form of an entry.
+fbar, c, r and L all have polynomial coefficients.  ``cli`` writes
+P as JSON; this module has no serialization.
 """
 
 from __future__ import annotations
@@ -113,12 +113,6 @@ class ProductionData:
         if count > self.nrows - 1:
             raise ValueError(f"window holds only {self.nrows - 1} subdiagonal entries")
         return [self.entries[i][i - 1] for i in range(1, count + 1)]
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [[{"num": e.to_json(), "den": ["1"]} for e in row] for row in self.entries],
-            "tridiagonal": self.tridiagonal,
-        }
 
 
 def exp_riordan_from_params(a: Rat | str, b: Rat | str, d: Rat | str, order: int) -> ExpRiordan:

@@ -4,15 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qeuler.families as families
 import qeuler.jacobi as jacobi
-from qeuler.cli import main
+from qeuler.cli import _json_value, main
 from qeuler.families import eulerian_rows
 from qeuler.jacobi import JFraction
+from qeuler.series import egf_polynomials
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +114,20 @@ def test_over_cap_enum_table_is_refused_before_any_walk(capsys, monkeypatch, fam
     code, out, err = run_cli(capsys, "table", *family, "--nmax", nmax, "--route", "enum")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": error}
+
+
+@pytest.mark.parametrize(
+    "flags,triple",
+    [
+        (("--family", "TypeB_qt", "--t=-3/2"), (1, 1, Fraction(-1, 2))),
+        (("--family", "General", "--a=-1/2", "--d", "3"), (Fraction(-1, 2), 1, 3)),
+    ],
+)
+def test_negative_rational_parameters_take_the_equals_form(capsys, flags, triple):
+    # argparse reads a separate "-3/2" as an option, so the README gives --t=-3/2
+    code, payload = run_json(capsys, "table", *flags, "--nmax", "6", "--route", "recurrence")
+    assert code == 0
+    assert payload["result"]["rows"] == [p.to_json() for p in egf_polynomials(*triple, 6)]
 
 
 def test_table_text_format(capsys):
@@ -282,7 +298,7 @@ def test_invert_moments_from_file(tmp_path, capsys):
     path.write_text(json.dumps({"mu": [p.to_json() for p in mu]}))
     code, payload = run_json(capsys, "invert-moments", "--file", str(path))
     assert code == 0
-    assert JFraction.from_json(payload["result"]["jfraction"]) == jf
+    assert payload["result"]["jfraction"] == _weights_json(jf)
 
 
 def test_invert_moments_accepts_integer_coefficient_lists(tmp_path, capsys):
@@ -292,7 +308,11 @@ def test_invert_moments_accepts_integer_coefficient_lists(tmp_path, capsys):
     path.write_text(json.dumps([[int(c) for c in p.to_json()] for p in mu]))
     code, payload = run_json(capsys, "invert-moments", "--file", str(path))
     assert code == 0
-    assert JFraction.from_json(payload["result"]["jfraction"]) == jf
+    assert payload["result"]["jfraction"] == _weights_json(jf)
+
+
+def _weights_json(jf):
+    return {"s": [p.to_json() for p in jf.s], "t": [p.to_json() for p in jf.t]}
 
 
 def test_invert_moments_scalar_file(tmp_path, capsys):
@@ -434,6 +454,16 @@ def test_out_file_and_directory_override(tmp_path, capsys, monkeypatch):
         "--out", str(target),
     )
     assert target.read_text() == written
+
+
+@pytest.mark.parametrize(
+    "value", [{1}, object(), 1j, b"1"], ids=["set", "object", "complex", "bytes"]
+)
+def test_json_value_refuses_unknown_types(value):
+    with pytest.raises(TypeError, match=type(value).__name__):
+        _json_value(value)
+    with pytest.raises(TypeError):
+        json.dumps({"result": value}, default=_json_value)
 
 
 def test_envelope_has_version_but_no_timestamps(capsys):

@@ -1,5 +1,6 @@
 """q-log-convexity checks, the weight criterion, and transform experiments."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qeuler.algebra import QPoly
+from qeuler.cli import _json_value
 from qeuler.convexity import (
     BUILTIN_SEQUENCES,
     Triangle,
@@ -21,6 +23,11 @@ from qeuler.jacobi import JFraction, jfraction_from_params, moments_by_motzkin_p
 
 ONE = QPoly(1)
 Q = QPoly(0, 1)
+
+
+def _as_json(value):
+    # what the command line prints for a report
+    return json.loads(json.dumps(value, default=_json_value))
 
 
 # -- plain and strong checks -----------------------------------------------------
@@ -66,7 +73,8 @@ def test_checks_need_three_polynomials():
 
 def test_reports_serialize():
     report = check_q_log_convex([ONE, ONE + Q, ONE])
-    data = report.to_json()
+    data = _as_json(report)
+    assert list(data) == ["verdict", "witnesses", "checked_range"]
     assert data["verdict"] is False
     assert data["witnesses"] == [[1, 1, 1]]
     assert data["checked_range"] == [1, 1]
@@ -98,8 +106,13 @@ def test_criterion_flags_negative_weights_separately():
     # flags the negative coefficient inside s_1 itself
     assert not report.hypothesis_nonneg
     assert ("s", 1, 1) in report.hypothesis_witnesses
-    data = report.to_json()
+    data = _as_json(report)
+    assert list(data) == [
+        "verdict", "witnesses", "checked_range",
+        "hypothesis_nonneg", "hypothesis_witnesses", "gap_at_zero_nonneg",
+    ]
     assert data["hypothesis_nonneg"] is False
+    assert ["s", 1, 1] in data["hypothesis_witnesses"]
 
 
 def test_criterion_needs_depth():
@@ -213,7 +226,9 @@ def test_transform_refuses_bad_input():
 def test_transform_report_serializes():
     xs = builtin_sequence("powers2", 4)
     report = transform_log_convexity_experiment(Triangle.EULERIAN_B, xs, 3)
-    data = report.to_json()
+    data = _as_json(report)
+    assert list(data) == ["triangle", "z", "verdict", "witnesses"]
     assert data["triangle"] == "B"
     assert data["verdict"] is True
-    assert all(isinstance(v, str) for v in data["z"])
+    assert data["z"] == [str(v) for v in report.z]
+    assert data["witnesses"] == []

@@ -5,7 +5,9 @@ the sha256 of stdout and stderr (joined by a NUL byte) with digests
 recorded from a known-good build.  Output bytes are the contract every
 change to the arithmetic core must keep; when a digest differs, diff
 the command's output against that build rather than updating the
-digest.
+digest.  Cases that read an input file run in a temporary directory
+holding ``_FILES``, and every JSON output is also parsed with floats
+refused.
 """
 
 import hashlib
@@ -111,11 +113,32 @@ def test_cli_output_bytes_are_golden(argv, code, digest, capsys):
     "argv,code,digest", FILE_GOLDEN, ids=[" ".join(argv) for argv, _, _ in FILE_GOLDEN]
 )
 def test_file_input_output_bytes_are_golden(argv, code, digest, tmp_path, monkeypatch, capsys):
+    _write_files(tmp_path, monkeypatch)
+    assert cli.main(list(argv)) == code
+    assert _digest(capsys) == digest
+
+
+_JSON_CASES = [argv for argv, _, _ in GOLDEN + FILE_GOLDEN if "text" not in argv]
+
+
+@pytest.mark.parametrize("argv", _JSON_CASES, ids=" ".join)
+def test_golden_json_holds_no_float(argv, tmp_path, monkeypatch, capsys):
+    # json.dumps writes a float without asking cli._json_value, so a float
+    # field in a report would reach the output unless this refuses it
+    def refuse(text):
+        raise AssertionError(f"float {text} in the output of {' '.join(argv)}")
+
+    _write_files(tmp_path, monkeypatch)
+    cli.main(list(argv))
+    for stream in capsys.readouterr():
+        if stream:
+            json.loads(stream, parse_float=refuse)
+
+
+def _write_files(tmp_path, monkeypatch) -> None:
     for name, data in _FILES.items():
         (tmp_path / name).write_text(json.dumps(data))
     monkeypatch.chdir(tmp_path)
-    assert cli.main(list(argv)) == code
-    assert _digest(capsys) == digest
 
 
 def _digest(capsys) -> str:

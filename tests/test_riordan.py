@@ -1,11 +1,13 @@
 """Exponential Riordan arrays and their production matrices."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from qeuler import cli
 from qeuler.algebra import ONE, Q, ZERO, QPoly, poly_dot
 from qeuler.riordan import (
     ExpRiordan,
@@ -162,10 +164,17 @@ def test_non_tridiagonal_production_matrix_on_both_routes():
     assert [row[1] for row in direct.entries] == [_rf(v) for v in (1, 2, -4, 24, -240, 3360)]
 
 
-def test_json_keeps_the_num_den_form():
+def _prodmat_result(capsys, *flags):
+    assert cli.main(["prodmat", *flags]) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+def test_json_keeps_the_num_den_form(capsys, monkeypatch):
     # the form `prodmat` prints when P is not tridiagonal; (3, 1) = 24 is below the band
-    prod = production_matrix_direct(riordan_matrix(_non_tridiagonal_pair(5)))
-    assert prod.to_json() == {
+    monkeypatch.setattr(
+        cli.riordan, "exp_riordan_from_params", lambda a, b, d, order: _non_tridiagonal_pair(order)
+    )
+    assert _prodmat_result(capsys, "--family", "TypeB", "--order", "5") == {
         "entries": [
             [{"num": num, "den": ["1"]} for num in row]
             for row in (
@@ -177,9 +186,11 @@ def test_json_keeps_the_num_den_form():
         ],
         "tridiagonal": False,
     }
-    tri = production_matrix_direct(riordan_matrix(exp_riordan_from_params(1, 1, 2, 3)))
-    assert tri.to_json()["entries"][1][0] == {"num": ["0", "4"], "den": ["1"]}
-    assert tri.to_json()["tridiagonal"] is True
+    monkeypatch.undo()
+    # TypeB is (a, b, d) = (1, 1, 2): entry (1, 0) of P is t_1 = 4q
+    tri = _prodmat_result(capsys, "--family", "TypeB", "--order", "3")
+    assert tri["tridiagonal"] is True
+    assert tri["t"] == [["0", "4"]]
 
 
 def test_production_weights_match_closed_forms():
@@ -193,13 +204,14 @@ def test_production_weights_match_closed_forms():
         assert t[i] == QPoly(0, (i + 1) ** 2)
 
 
-def test_production_matrix_shape_and_json():
+def test_production_matrix_shape_and_json(capsys):
     arr = exp_riordan_from_params(1, 1, 2, 6)
     prod = production_matrix_direct(riordan_matrix(arr))
     assert prod.nrows == 5 and {len(row) for row in prod.entries} == {6}
-    data = prod.to_json()
+    data = _prodmat_result(capsys, "--family", "TypeB", "--order", "6")
     assert data["tridiagonal"] is True
-    assert len(data["entries"]) == prod.nrows
+    assert data["s"] == [p.to_json() for p in prod.s_values(prod.nrows)]
+    assert data["t"] == [p.to_json() for p in prod.t_values(prod.nrows - 1)]
 
 
 def test_defining_identity_l_times_p_is_shifted_l():
