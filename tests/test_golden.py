@@ -80,6 +80,11 @@ GOLDEN = [
      "68e8ecd5ec82f35f068b92b1bf6adade67a5f195787cb33cd30f5332aea54ad9"),
     (("invert-moments", *_GENERAL, "--nmax", "12", "--format", "text"), 0,
      "a6d0fa5e136bdbdc84db60fcccf7e9e8e967690eb1dde037e3d8f8c4bf942884"),
+    # the config of a family with no parameters, and its text label
+    (("check", "--family", "TypeA_shifted", "--mode", "zhu", "--imax", "5"), 0,
+     "73c2b7bbd337727a7a32f1f2e7d52053d2ef9f2b0b70d24d00e3e9d3c55eec38"),
+    (("prodmat", "--family", "TypeA", "--order", "5", "--format", "text"), 0,
+     "f55eccfed37e949f4488ab96facd3f7423d88880cf5845f5eeff4063402e9a54"),
 ]
 
 #: Input files for the cases below, written into the working directory so
