@@ -6,8 +6,7 @@ for byte for a fixed invocation: the envelope carries only the tool
 name and version, never timestamps.
 
 Only this module writes JSON: handlers return library values and
-``_json_value`` encodes them.  The entries of a non-tridiagonal
-production matrix keep the ``{"num": ..., "den": ["1"]}`` quotient form.
+``_json_value`` encodes them.
 
 Exit codes: 0 all checks passed, 1 a verification produced witnesses,
 2 usage or configuration error (including inputs whose preconditions
@@ -48,7 +47,8 @@ def _positive_int(text: str) -> int:
 
 def _add_family_params(parser: argparse.ArgumentParser) -> None:
     # argparse takes "-3/2" for an option, so a negative value needs "--t=-3/2"
-    for name, used_by in (("t", "qt families"), ("a", "General"), ("d", "General")):
+    for name in ("t", "a", "d"):
+        used_by = ", ".join(f.value for f in Family if name in families._FAMILIES[f][0])
         text = f"{name} parameter ({used_by}); write a negative one as --{name}=-3/2"
         parser.add_argument(f"--{name}", type=_rational, help=text)
 
@@ -63,12 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
     )
-    common.add_argument(
-        "--out",
-        metavar="FILE",
-        help="write output to FILE instead of stdout "
-        "(QEULER_OUT_DIR prefixes relative paths)",
-    )
+    common.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
     fam = argparse.ArgumentParser(add_help=False)
     fam.add_argument(
         "--family",
@@ -125,27 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _family_spec(args) -> FamilySpec:
-    kwargs = {}
-    for name in ("t", "a", "d"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    return FamilySpec(Family(args.family), **kwargs)
+def _family(args) -> tuple[FamilySpec, tuple[Fraction, Fraction, Fraction], dict]:
+    """The family the flags name, its (a, b, d) triple and its ``config`` entries."""
+    spec = FamilySpec(Family(args.family), t=args.t, a=args.a, d=args.d)
+    config = {"family": spec.family.value, **spec.params}
+    return spec, families.family_egf_params(spec), config
 
 
-def _spec_config(spec: FamilySpec) -> dict:
-    cfg: dict = {"family": spec.family.value}
-    if spec.t is not None:
-        cfg["t"] = str(spec.t)
-    if spec.a is not None:
-        cfg["a"] = str(spec.a)
-        cfg["d"] = str(spec.d)
-    return cfg
-
-
-def _table_rows(spec: FamilySpec, route: str, count: int) -> Sequence[QPoly]:
-    a, b, d = families.family_egf_params(spec)
+def _table_rows(spec: FamilySpec, abd: tuple, route: str, count: int) -> Sequence[QPoly]:
+    a, b, d = abd
     if route == "egf":
         return series.egf_polynomials(a, b, d, count)
     if route == "cfrac":
@@ -157,9 +140,9 @@ def _table_rows(spec: FamilySpec, route: str, count: int) -> Sequence[QPoly]:
 
 
 def _cmd_table(args):
-    spec = _family_spec(args)
-    rows = _table_rows(spec, args.route, args.nmax)
-    config = _spec_config(spec) | {"nmax": args.nmax, "route": args.route}
+    spec, abd, config = _family(args)
+    rows = _table_rows(spec, abd, args.route, args.nmax)
+    config |= {"nmax": args.nmax, "route": args.route}
     lines = [f"{spec.label()} via {args.route}"]
     lines += [f"  n={n}: {p}" for n, p in enumerate(rows)]
     return config, {"rows": rows}, True, lines
@@ -172,43 +155,35 @@ def _weight_lines(s: Sequence[QPoly], t: Sequence[QPoly]) -> list[str]:
 
 
 def _cmd_cfrac(args):
-    spec = _family_spec(args)
-    a, b, d = families.family_egf_params(spec)
-    jf = jacobi.jfraction_from_params(a, b, d, args.depth)
-    config = _spec_config(spec) | {"depth": args.depth}
+    spec, abd, config = _family(args)
+    jf = jacobi.jfraction_from_params(*abd, args.depth)
+    config["depth"] = args.depth
     lines = [f"{spec.label()} continued-fraction weights", *_weight_lines(jf.s, jf.t)]
     return config, {"jfraction": jf}, True, lines
 
 
 def _cmd_prodmat(args):
-    spec = _family_spec(args)
-    a, b, d = families.family_egf_params(spec)
-    arr = riordan.exp_riordan_from_params(a, b, d, args.order)
+    spec, abd, config = _family(args)
+    arr = riordan.exp_riordan_from_params(*abd, args.order)
     prod = riordan.production_matrix_direct(riordan.riordan_matrix(arr))
-    config = _spec_config(spec) | {"order": args.order}
-    result: dict = {"tridiagonal": prod.tridiagonal}
-    lines = [f"{spec.label()} production matrix, order {args.order}",
-             f"  tridiagonal: {prod.tridiagonal}"]
-    if prod.tridiagonal:
-        s = prod.s_values(prod.nrows)
-        t = prod.t_values(prod.nrows - 1)
-        result |= {"s": s, "t": t}
-        lines += _weight_lines(s, t)
-    else:
-        result["entries"] = [[{"num": e, "den": ["1"]} for e in row] for row in prod.entries]
-        lines.append("  (not tridiagonal; full entries in JSON output)")
-    return config, result, True, lines
+    if not prod.tridiagonal:
+        # every d != 0 gives a tridiagonal P, so this is a broken route, not an input
+        raise ArithmeticError(f"{spec.label()}: production matrix is not tridiagonal")
+    config["order"] = args.order
+    s = prod.s_values(prod.nrows)
+    t = prod.t_values(prod.nrows - 1)
+    lines = [f"{spec.label()} production matrix, order {args.order}", "  tridiagonal: True"]
+    return config, {"tridiagonal": True, "s": s, "t": t}, True, lines + _weight_lines(s, t)
 
 
 def _cmd_check(args):
-    spec = _family_spec(args)
-    a, b, d = families.family_egf_params(spec)
-    config = _spec_config(spec) | {"mode": args.mode}
+    spec, abd, config = _family(args)
+    config["mode"] = args.mode
     if args.mode == "zhu":
         if args.nmax is not None:
             raise ValueError("--nmax has no effect with --mode zhu")
         imax = 50 if args.imax is None else args.imax
-        jf = jacobi.jfraction_from_params(a, b, d, imax + 2)
+        jf = jacobi.jfraction_from_params(*abd, imax + 2)
         report = convexity.moment_convexity_criterion(jf, imax)
         config["imax"] = imax
     else:
@@ -217,7 +192,7 @@ def _cmd_check(args):
         if args.nmax is None:
             raise ValueError("--nmax is required for --mode qlcx/strong")
         depth = max(1, (args.nmax - 1) // 2 + 1)
-        jf = jacobi.jfraction_from_params(a, b, d, depth)
+        jf = jacobi.jfraction_from_params(*abd, depth)
         mu = jacobi.moments_by_motzkin_paths(jf, args.nmax)
         config["nmax"] = args.nmax
         if args.mode == "qlcx":
@@ -300,11 +275,10 @@ def _cmd_invert_moments(args):
     elif args.family:
         if args.nmax is None:
             raise ValueError("--nmax is required with --family")
-        spec = _family_spec(args)
-        a, b, d = families.family_egf_params(spec)
-        jf = jacobi.jfraction_from_params(a, b, d, args.nmax)
+        _, abd, config = _family(args)
+        jf = jacobi.jfraction_from_params(*abd, args.nmax)
         moments = jacobi.moments_by_motzkin_paths(jf, args.nmax)
-        config = _spec_config(spec) | {"nmax": args.nmax}
+        config["nmax"] = args.nmax
     else:
         raise ValueError("one of --file or --family is required")
     recovered = jacobi.jfraction_from_moments(moments, args.depth)
@@ -341,8 +315,9 @@ def _cmd_selftest(args):
     all_pass = True
     for spec, ncap in _selftest_instances(args.nmax):
         count = ncap + 1
-        egf, cfrac, enum = (_table_rows(spec, route, count) for route in ("egf", "cfrac", "enum"))
-        jf = jacobi.jfraction_from_params(*families.family_egf_params(spec), count)
+        abd = families.family_egf_params(spec)
+        egf, cfrac, enum = (_table_rows(spec, abd, r, count) for r in ("egf", "cfrac", "enum"))
+        jf = jacobi.jfraction_from_params(*abd, count)
         motzkin = jacobi.moments_by_motzkin_paths(jf, count)
         label = spec.label()
         for n in range(count):
@@ -372,16 +347,6 @@ _HANDLERS = {
 }
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        base = os.environ.get("QEULER_OUT_DIR")
-        path = os.path.join(base, out) if base and not os.path.isabs(out) else out
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
 def _json_value(obj):
     """The JSON form of a library value: the ``default`` of ``json.dumps``.
 
@@ -409,17 +374,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if code is None else int(code)
     try:
         config, result, okay, lines = _HANDLERS[args.command](args)
+        if args.format == "text":
+            text = "\n".join(lines)
+        else:
+            envelope = {
+                "meta": {"tool": "qeuler", "version": __version__},
+                "command": args.command,
+                "config": config,
+                "result": result,
+            }
+            text = json.dumps(envelope, indent=2, default=_json_value)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            sys.stdout.write(text + "\n")
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
-    if args.format == "text":
-        _emit("\n".join(lines), args.out)
-    else:
-        envelope = {
-            "meta": {"tool": "qeuler", "version": __version__},
-            "command": args.command,
-            "config": config,
-            "result": result,
-        }
-        _emit(json.dumps(envelope, indent=2, default=_json_value), args.out)
     return 0 if okay else 1

@@ -1,13 +1,10 @@
 """The six polynomial families and their combinatorial enumerations.
 
-Every family is a specialization of the EGF parameter triple (a, b, d):
-
-    TypeA_shifted -> (1, 1, 1)    descent polynomials of S_n
-    TypeA         -> (0, 1, 1)    q * descent polynomial (n >= 1)
-    TypeA_qt(t)   -> (1, t, 1)    excedances marked by q, cycles by t
-    TypeB         -> (1, 1, 2)    descent polynomials of signed permutations
-    TypeB_qt(t)   -> (1, 1, 1+t)  signed descents with negatives marked by t
-    General(a, d) -> (a, 1, d)    the (a, d) Eulerian triangle
+Every family is a specialization of the EGF parameter triple (a, b, d).
+The table ``_FAMILIES`` is the one place a family is declared: which of
+t, a and d it takes, and its triple as a function of them.
+``FamilySpec``, its label, ``family_egf_params`` and the command line
+all read it.
 
 The enumeration functions here are deliberately naive (they walk the
 whole group) because they serve as independent oracles for the
@@ -33,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import lcm
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .algebra import ONE, Q, QPoly, Rat, as_fraction
 
@@ -69,6 +66,18 @@ class Family(enum.Enum):
     GENERAL = "General"
 
 
+#: The one place a family is declared: the parameters it takes, in print
+#: order, and its (a, b, d) triple as a function of them.
+_FAMILIES: dict[Family, tuple[tuple[str, ...], Callable]] = {
+    Family.TYPE_A_SHIFTED: ((), lambda: (1, 1, 1)),  # descent polynomials of S_n
+    Family.TYPE_A: ((), lambda: (0, 1, 1)),  # q * descent polynomial (n >= 1)
+    Family.TYPE_A_QT: (("t",), lambda t: (1, t, 1)),  # excedances marked by q, cycles by t
+    Family.TYPE_B: ((), lambda: (1, 1, 2)),  # descent polynomials of signed permutations
+    Family.TYPE_B_QT: (("t",), lambda t: (1, 1, 1 + t)),  # signed descents, negatives marked by t
+    Family.GENERAL: (("a", "d"), lambda a, d: (a, 1, d)),  # the (a, d) Eulerian triangle
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family plus whichever parameters it needs (and no others)."""
@@ -79,44 +88,29 @@ class FamilySpec:
     d: Fraction | None = None
 
     def __post_init__(self) -> None:
+        names = _FAMILIES[self.family][0]
         for name in ("t", "a", "d"):
             value = getattr(self, name)
+            if (value is None) == (name in names):
+                verb = "requires" if value is None else "takes no"
+                raise ValueError(f"{self.family.value} {verb} {name}")
             if value is not None:
                 object.__setattr__(self, name, as_fraction(value))
-        needs_t = self.family in (Family.TYPE_A_QT, Family.TYPE_B_QT)
-        needs_ad = self.family is Family.GENERAL
-        if needs_t and self.t is None:
-            raise ValueError(f"{self.family.value} requires t")
-        if not needs_t and self.t is not None:
-            raise ValueError(f"{self.family.value} takes no t")
-        if needs_ad and (self.a is None or self.d is None):
-            raise ValueError("General requires both a and d")
-        if not needs_ad and (self.a is not None or self.d is not None):
-            raise ValueError(f"{self.family.value} takes no a/d")
+
+    @property
+    def params(self) -> dict[str, Fraction]:
+        """Name -> value of the family's parameters, in print order."""
+        return {name: getattr(self, name) for name in _FAMILIES[self.family][0]}
 
     def label(self) -> str:
-        bits = [self.family.value]
-        if self.t is not None:
-            bits.append(f"t={self.t}")
-        if self.a is not None:
-            bits.append(f"a={self.a}, d={self.d}")
-        return " ".join(bits) if len(bits) == 1 else f"{bits[0]} ({', '.join(bits[1:])})"
+        values = ", ".join(f"{name}={value}" for name, value in self.params.items())
+        return f"{self.family.value} ({values})" if values else self.family.value
 
 
 def family_egf_params(spec: FamilySpec) -> tuple[Fraction, Fraction, Fraction]:
     """The (a, b, d) triple feeding the EGF / J-fraction / Riordan routes."""
-    one = Fraction(1)
-    if spec.family is Family.TYPE_A_SHIFTED:
-        return one, one, one
-    if spec.family is Family.TYPE_A:
-        return Fraction(0), one, one
-    if spec.family is Family.TYPE_A_QT:
-        return one, spec.t, one
-    if spec.family is Family.TYPE_B:
-        return one, one, Fraction(2)
-    if spec.family is Family.TYPE_B_QT:
-        return one, one, 1 + spec.t
-    return spec.a, one, spec.d
+    a, b, d = _FAMILIES[spec.family][1](*spec.params.values())
+    return Fraction(a), Fraction(b), Fraction(d)
 
 
 # -- exhaustive statistics, cached per n ------------------------------------

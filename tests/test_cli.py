@@ -436,7 +436,8 @@ def test_output_is_deterministic(capsys):
 
 
 def test_out_file_and_directory_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QEULER_OUT_DIR", str(tmp_path))
+    # a relative --out resolves against the working directory
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(
         capsys, "table", "--family", "TypeA", "--nmax", "3", "--route", "egf",
         "--out", "rows.json",
@@ -447,13 +448,31 @@ def test_out_file_and_directory_override(tmp_path, capsys, monkeypatch):
         capsys, "table", "--family", "TypeA", "--nmax", "3", "--route", "egf"
     )
     assert written == stdout
-    # absolute paths ignore the directory override
     target = tmp_path / "abs.json"
     code, _, _ = run_cli(
         capsys, "table", "--family", "TypeA", "--nmax", "3", "--route", "egf",
         "--out", str(target),
     )
     assert target.read_text() == written
+
+
+def test_family_flag_help_names_the_families_that_take_it(capsys):
+    assert main(["table", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "t parameter (TypeA_qt, TypeB_qt);" in text
+    assert "a parameter (General);" in text and "d parameter (General);" in text
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # exit 1 means "witnesses found", so a failed write must not end in it
+    missing = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run_cli(
+        capsys, "table", "--family", "TypeA", "--nmax", "3", "--route", "egf",
+        "--out", str(missing),
+    )
+    assert code == 2 and out == ""
+    assert "No such file or directory" in json.loads(err)["error"]
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,62 @@ def test_egf_parameter_triples():
     assert family_egf_params(FamilySpec(Family.GENERAL, a=2, d=5)) == (2, 1, 5)
 
 
+# family, the flags it takes in print order, its label and its (a, b, d);
+# a != d and 1 + t != t, so a swapped or misread parameter shows
+_TABLE = [
+    (Family.TYPE_A_SHIFTED, {}, "TypeA_shifted", (1, 1, 1)),
+    (Family.TYPE_A, {}, "TypeA", (0, 1, 1)),
+    (Family.TYPE_A_QT, {"t": "2/3"}, "TypeA_qt (t=2/3)", (1, Fraction(2, 3), 1)),
+    (Family.TYPE_B, {}, "TypeB", (1, 1, 2)),
+    (Family.TYPE_B_QT, {"t": "2/3"}, "TypeB_qt (t=2/3)", (1, 1, Fraction(5, 3))),
+    (Family.GENERAL, {"a": "2/3", "d": "5/7"}, "General (a=2/3, d=5/7)",
+     (Fraction(2, 3), 1, Fraction(5, 7))),
+]
+
+
+def _wrong_params(family, params):
+    """Each way to drop one of the family's parameters or add one it lacks."""
+    for name in ("t", "a", "d"):
+        if name in params:
+            yield {k: v for k, v in params.items() if k != name}, f"{family.value} requires {name}"
+        else:
+            yield params | {name: "3"}, f"{family.value} takes no {name}"
+
+
+@pytest.mark.parametrize("family,params,label,abd", _TABLE, ids=[f.value for f, *_ in _TABLE])
+def test_family_table_through_the_library(family, params, label, abd):
+    spec = FamilySpec(family, **params)
+    assert list(spec.params.items()) == [(k, Fraction(v)) for k, v in params.items()]
+    assert spec.label() == label
+    assert family_egf_params(spec) == abd
+    assert all(type(v) is Fraction for v in family_egf_params(spec))
+    for wrong, message in _wrong_params(family, params):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FamilySpec(family, **wrong)
+
+
+@pytest.mark.parametrize("family,params,label,abd", _TABLE, ids=[f.value for f, *_ in _TABLE])
+def test_family_table_through_the_cli(family, params, label, abd, capsys):
+    def run(params, *extra):
+        flags = [f"--{k}={v}" for k, v in params.items()]
+        argv = ["table", "--family", family.value, *flags, "--nmax", "4", "--route", "egf"]
+        code = main([*argv, *extra])
+        return code, *capsys.readouterr()
+
+    code, out, err = run(params)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert list(payload["config"].items()) == [
+        ("family", family.value), *params.items(), ("nmax", 4), ("route", "egf")
+    ]
+    assert payload["result"]["rows"] == [p.to_json() for p in egf_polynomials(*abd, 4)]
+    code, out, err = run(params, "--format", "text")
+    assert code == 0 and out.splitlines()[0] == f"{label} via egf"
+    for wrong, message in _wrong_params(family, params):
+        code, out, err = run(wrong)
+        assert (code, out, json.loads(err)) == (2, "", {"error": message})
+
+
 # -- descent and excedance statistics ----------------------------------------------
 
 

@@ -170,22 +170,14 @@ def _prodmat_result(capsys, *flags):
 
 
 def test_json_keeps_the_num_den_form(capsys, monkeypatch):
-    # the form `prodmat` prints when P is not tridiagonal; (3, 1) = 24 is below the band
+    # every d != 0 gives a tridiagonal P, so `prodmat` refuses one that is not
     monkeypatch.setattr(
         cli.riordan, "exp_riordan_from_params", lambda a, b, d, order: _non_tridiagonal_pair(order)
     )
-    assert _prodmat_result(capsys, "--family", "TypeB", "--order", "5") == {
-        "entries": [
-            [{"num": num, "den": ["1"]} for num in row]
-            for row in (
-                ([], ["1"], [], [], []),
-                ([], ["2"], ["1"], [], []),
-                ([], ["-4"], ["4"], ["1"], []),
-                ([], ["24"], ["-12"], ["6"], ["1"]),
-            )
-        ],
-        "tridiagonal": False,
-    }
+    assert cli.main(["prodmat", "--family", "TypeB", "--order", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "TypeB: production matrix is not tridiagonal"}
     monkeypatch.undo()
     # TypeB is (a, b, d) = (1, 1, 2): entry (1, 0) of P is t_1 = 4q
     tri = _prodmat_result(capsys, "--family", "TypeB", "--order", "3")
