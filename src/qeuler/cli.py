@@ -8,6 +8,10 @@ name and version, never timestamps.
 Only this module writes JSON: handlers return library values and
 ``_json_value`` encodes them.
 
+At module level only ``algebra`` and ``families`` are imported, which
+the parser needs; each handler imports the routes it runs, so a
+command loads only those.
+
 Exit codes: 0 all checks passed, 1 a verification produced witnesses,
 2 usage or configuration error (including inputs whose preconditions
 fail mid-computation, like non-quasi-definite moments).
@@ -24,11 +28,15 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import __version__, convexity, families, jacobi, riordan, series
+from . import __version__, families
 from .algebra import QPoly, as_fraction, parse_rational
 from .families import Family, FamilySpec
 
 __all__ = ["main"]
+
+#: ``sorted(convexity.BUILTIN_SEQUENCES)``, written out so that building the
+#: parser does not import ``convexity``.
+_BUILTIN_SEQUENCE_NAMES = ("catalan", "factorial", "motzkin", "ones", "powers2")
 
 
 def _rational(text: str) -> Fraction:
@@ -103,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seq",
         required=True,
         help="builtin name (%s) or a JSON file of rationals"
-        % ", ".join(sorted(convexity.BUILTIN_SEQUENCES)),
+        % ", ".join(_BUILTIN_SEQUENCE_NAMES),
     )
     p.add_argument("--nmax", type=_positive_int, default=12, help="test z_1..z_{nmax-1}")
 
@@ -130,8 +138,12 @@ def _family(args) -> tuple[FamilySpec, tuple[Fraction, Fraction, Fraction], dict
 def _table_rows(spec: FamilySpec, abd: tuple, route: str, count: int) -> Sequence[QPoly]:
     a, b, d = abd
     if route == "egf":
+        from . import series
+
         return series.egf_polynomials(a, b, d, count)
     if route == "cfrac":
+        from . import jacobi
+
         jf = jacobi.jfraction_from_params(a, b, d, count)
         return jacobi.moments_by_cfrac_expansion(jf, count)
     if route == "enum":
@@ -155,6 +167,8 @@ def _weight_lines(s: Sequence[QPoly], t: Sequence[QPoly]) -> list[str]:
 
 
 def _cmd_cfrac(args):
+    from . import jacobi
+
     spec, abd, config = _family(args)
     jf = jacobi.jfraction_from_params(*abd, args.depth)
     config["depth"] = args.depth
@@ -163,6 +177,8 @@ def _cmd_cfrac(args):
 
 
 def _cmd_prodmat(args):
+    from . import riordan
+
     spec, abd, config = _family(args)
     arr = riordan.exp_riordan_from_params(*abd, args.order)
     prod = riordan.production_matrix_direct(riordan.riordan_matrix(arr))
@@ -177,6 +193,8 @@ def _cmd_prodmat(args):
 
 
 def _cmd_check(args):
+    from . import convexity, jacobi
+
     spec, abd, config = _family(args)
     config["mode"] = args.mode
     if args.mode == "zhu":
@@ -218,6 +236,8 @@ def _exact(value) -> Fraction:
 
 
 def _load_sequence(seq: str, count: int) -> list[Fraction]:
+    from . import convexity
+
     if seq in convexity.BUILTIN_SEQUENCES:
         return convexity.builtin_sequence(seq, count)
     if not os.path.exists(seq):
@@ -235,6 +255,8 @@ def _load_sequence(seq: str, count: int) -> list[Fraction]:
 
 
 def _cmd_conjecture(args):
+    from . import convexity
+
     triangle = (
         convexity.Triangle.EULERIAN_A if args.triangle == "A" else convexity.Triangle.EULERIAN_B
     )
@@ -264,6 +286,8 @@ def _moments_from_file(path: str) -> list[QPoly]:
 
 
 def _cmd_invert_moments(args):
+    from . import jacobi
+
     if args.file and args.family:
         raise ValueError("give either --file or --family, not both")
     if args.file:
@@ -311,6 +335,8 @@ def _selftest_instances(clamp: int | None) -> list[tuple[FamilySpec, int]]:
 
 
 def _cmd_selftest(args):
+    from . import jacobi
+
     matrix: list[dict] = []
     all_pass = True
     for spec, ncap in _selftest_instances(args.nmax):

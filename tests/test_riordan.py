@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from qeuler import cli
+from qeuler import cli, riordan
 from qeuler.algebra import ONE, Q, ZERO, QPoly, poly_dot
 from qeuler.riordan import (
     ExpRiordan,
@@ -172,7 +172,7 @@ def _prodmat_result(capsys, *flags):
 def test_json_keeps_the_num_den_form(capsys, monkeypatch):
     # every d != 0 gives a tridiagonal P, so `prodmat` refuses one that is not
     monkeypatch.setattr(
-        cli.riordan, "exp_riordan_from_params", lambda a, b, d, order: _non_tridiagonal_pair(order)
+        riordan, "exp_riordan_from_params", lambda a, b, d, order: _non_tridiagonal_pair(order)
     )
     assert cli.main(["prodmat", "--family", "TypeB", "--order", "5"]) == 2
     out, err = capsys.readouterr()

@@ -1,0 +1,100 @@
+"""Start-up: ``import qeuler`` is lazy and each command loads only its routes.
+
+Every CLI command is one fresh interpreter, so the modules it imports
+are part of its cost.  The module checks run each command in a child
+process, which starts with an empty ``sys.modules``, and record the
+``qeuler`` submodules loaded by the time it returns.
+"""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qeuler
+from qeuler import cli, convexity
+
+_ROUTES = {"series", "jacobi", "riordan", "convexity"}
+
+_CHILD = """
+import contextlib, io, json, sys
+import qeuler
+if sys.argv[1:]:
+    from qeuler.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(json.dumps([m for m in sys.modules if m.startswith("qeuler.")]))
+"""
+
+
+def _loaded(*argv: str) -> set[str]:
+    """The ``qeuler`` submodules a fresh interpreter holds after running ARGV."""
+    src = str(Path(qeuler.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("qeuler.") for name in json.loads(proc.stdout)}
+
+
+def test_import_qeuler_loads_no_submodule():
+    assert _loaded() == set()
+
+
+@pytest.mark.parametrize("route", ["recurrence", "enum"])
+def test_integer_table_routes_load_no_route_module(route):
+    loaded = _loaded("table", "--family", "TypeB", "--nmax", "4", "--route", route)
+    assert loaded == {"algebra", "families", "cli"}
+
+
+def test_egf_table_adds_only_series():
+    loaded = _loaded("table", "--family", "TypeB", "--nmax", "4", "--route", "egf")
+    assert loaded == {"algebra", "families", "cli", "series"}
+
+
+def test_prodmat_loads_neither_jacobi_nor_convexity():
+    loaded = _loaded("prodmat", "--family", "TypeB", "--order", "4")
+    assert "riordan" in loaded
+    assert not loaded & {"jacobi", "convexity"}
+
+
+def test_every_public_name_is_its_home_module_object():
+    homes = [importlib.import_module(f"qeuler.{m}") for m in ("algebra", "families", *_ROUTES)]
+    for name in qeuler.__all__:
+        if name == "__version__":
+            continue
+        owners = [m for m in homes if name in m.__all__]
+        assert len(owners) == 1, name
+        assert getattr(qeuler, name) is getattr(owners[0], name), name
+
+
+def test_star_import_and_dir_hold_every_public_name():
+    namespace: dict = {}
+    exec("from qeuler import *", namespace)
+    assert set(qeuler.__all__) <= namespace.keys()
+    assert set(qeuler.__all__) <= set(dir(qeuler))
+    assert len(set(qeuler.__all__)) == len(qeuler.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        qeuler.no_such_name  # noqa: B018
+    assert not hasattr(qeuler, "cfrac")
+
+
+def test_conjecture_seq_help_names_the_builtin_sequences(capsys):
+    # the parser writes these names out so that it need not import convexity
+    assert cli.main(["conjecture", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    names = re.search(r"builtin name \(([^)]*)\) or a JSON file of rationals", text)
+    assert names is not None
+    assert names.group(1).split(", ") == sorted(convexity.BUILTIN_SEQUENCES)
