@@ -5,8 +5,8 @@ no floating point is emitted anywhere.  Output is deterministic byte
 for byte for a fixed invocation: the envelope carries only the tool
 name and version, never timestamps.
 
-Only this module writes JSON: handlers return library values and
-``_json_value`` encodes them.
+Only this module writes JSON: handlers return library values, each
+record as its ``_asdict()``, and ``_json_value`` encodes them.
 
 At module level only ``algebra`` and ``families`` are imported, which
 the parser needs; each handler imports the routes it runs, so a
@@ -20,7 +20,6 @@ fail mid-computation, like non-quasi-definite moments).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import enum
 import json
 import os
@@ -173,7 +172,7 @@ def _cmd_cfrac(args):
     jf = jacobi.jfraction_from_params(*abd, args.depth)
     config["depth"] = args.depth
     lines = [f"{spec.label()} continued-fraction weights", *_weight_lines(jf.s, jf.t)]
-    return config, {"jfraction": jf}, True, lines
+    return config, {"jfraction": jf._asdict()}, True, lines
 
 
 def _cmd_prodmat(args):
@@ -220,7 +219,7 @@ def _cmd_check(args):
     lines = [f"{spec.label()} {args.mode}: {'pass' if report.verdict else 'FAIL'}"]
     for w in report.witnesses:
         lines.append(f"  witness {w}")
-    return config, {"report": report}, report.verdict, lines
+    return config, {"report": report._asdict()}, report.verdict, lines
 
 
 def _exact(value) -> Fraction:
@@ -235,6 +234,20 @@ def _exact(value) -> Fraction:
         raise ValueError(f"not an exact rational: {json.dumps(value)} ({exc})") from None
 
 
+def _json_array(path: str, key: str, what: str) -> list:
+    """The JSON array in the file at PATH, bare or as the KEY of an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{what} file nests JSON arrays or objects too deeply") from None
+    if isinstance(data, dict):
+        data = data.get(key)
+    if not isinstance(data, list):
+        raise ValueError(f"{what} file must hold a JSON array (or {{'{key}': [...]}})")
+    return data
+
+
 def _load_sequence(seq: str, count: int) -> list[Fraction]:
     from . import convexity
 
@@ -245,13 +258,7 @@ def _load_sequence(seq: str, count: int) -> list[Fraction]:
             f"{seq!r} is neither a builtin sequence "
             f"({', '.join(sorted(convexity.BUILTIN_SEQUENCES))}) nor a file"
         )
-    with open(seq, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):
-        data = data.get("x")
-    if not isinstance(data, list):
-        raise ValueError("sequence file must hold a JSON array (or {'x': [...]})")
-    return [_exact(v) for v in data]
+    return [_exact(v) for v in _json_array(seq, "x", "sequence")]
 
 
 def _cmd_conjecture(args):
@@ -263,7 +270,7 @@ def _cmd_conjecture(args):
     xs = _load_sequence(args.seq, args.nmax + 1)
     report = convexity.transform_log_convexity_experiment(triangle, xs, args.nmax)
     config = {"triangle": args.triangle, "seq": args.seq, "nmax": args.nmax}
-    result = {"input": xs[: args.nmax + 1], "report": report}
+    result = {"input": xs[: args.nmax + 1], "report": report._asdict()}
     lines = [
         f"triangle {args.triangle} applied to {args.seq}: "
         f"{'log-convexity preserved' if report.verdict else 'WITNESSES FOUND'}",
@@ -275,13 +282,7 @@ def _cmd_conjecture(args):
 
 
 def _moments_from_file(path: str) -> list[QPoly]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):
-        data = data.get("mu")
-    if not isinstance(data, list):
-        raise ValueError("moment file must hold a JSON array (or {'mu': [...]})")
-    entries = (e if isinstance(e, list) else [e] for e in data)
+    entries = (e if isinstance(e, list) else [e] for e in _json_array(path, "mu", "moment"))
     return [QPoly(*map(_exact, coeffs)) for coeffs in entries]
 
 
@@ -309,7 +310,7 @@ def _cmd_invert_moments(args):
     config["depth"] = recovered.depth
     lines = [f"recovered J-fraction of depth {recovered.depth}",
              *_weight_lines(recovered.s, recovered.t)]
-    return config, {"jfraction": recovered}, True, lines
+    return config, {"jfraction": recovered._asdict()}, True, lines
 
 
 _T_GRID = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
@@ -376,8 +377,9 @@ _HANDLERS = {
 def _json_value(obj):
     """The JSON form of a library value: the ``default`` of ``json.dumps``.
 
-    A dataclass is its fields in declaration order; a type not handled
-    here raises ``TypeError``.  Floats never reach this hook.
+    A type not handled here raises ``TypeError``.  Floats never reach
+    this hook, and neither do library records: they are tuples, which
+    ``json`` writes as arrays, so handlers pass their ``_asdict()``.
     """
     if isinstance(obj, QPoly):
         return obj.to_json()
@@ -385,13 +387,23 @@ def _json_value(obj):
         return str(obj)
     if isinstance(obj, enum.Enum):
         return obj.value
-    if dataclasses.is_dataclass(obj):
-        # not dataclasses.asdict: it deep-copies, and QPoly refuses to be copied
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     raise TypeError(f"{type(obj).__name__} has no JSON form")
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact results can pass CPython's 4300-digit int <-> str limit (none where sys
+    # cannot report one): lift it while the command runs, restore it for the caller
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

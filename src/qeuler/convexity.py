@@ -25,13 +25,13 @@ sequence, does log-convexity survive?  Both triangles are rows of the
 one integer recurrence ``families.eulerian_rows``: type A at
 (ab, bd, d) = (1, 1, 1) and type B at (1, 2, 2).  It proves nothing; it computes
 ``z_n = sum_k triangle(n,k) x_k`` exactly and reports any witnesses.
-The reports are plain dataclasses, and ``cli`` writes them as JSON.
+The reports are named tuples; ``cli`` writes each one's ``_asdict()`` as JSON.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -62,22 +62,21 @@ __all__ = [
 Witness = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(namedtuple("ConvexityReport", "verdict witnesses checked_range")):
     """Outcome of a (strong) q-log-convexity check with evidence."""
 
-    verdict: bool
-    witnesses: tuple[Witness, ...]
-    checked_range: tuple[int, int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CriterionReport(ConvexityReport):
-    """Adds the separately reported hypothesis and boundary information."""
+class CriterionReport(namedtuple("CriterionReport", ConvexityReport._fields + (
+        "hypothesis_nonneg", "hypothesis_witnesses", "gap_at_zero_nonneg"))):
+    """Adds the separately reported hypothesis and boundary information.
 
-    hypothesis_nonneg: bool = True
-    hypothesis_witnesses: tuple[tuple[str, int, int], ...] = ()
-    gap_at_zero_nonneg: bool = True
+    ``hypothesis_witnesses`` holds (weight name, index, coefficient)
+    triples, one for each weight with a negative coefficient.
+    """
+
+    __slots__ = ()
 
 
 def _first_negative(poly: QPoly) -> int:
@@ -173,13 +172,10 @@ def moment_convexity_criterion(jf: JFraction, i_max: int) -> CriterionReport:
     )
 
 
-@dataclass(frozen=True)
-class GapResult:
+class GapResult(namedtuple("GapResult", "gap reference_bound bound_is_lower")):
     """The expanded gap s_i s_{i+1} - t_{i+1} and its simpler lower bound."""
 
-    gap: QPoly
-    reference_bound: QPoly
-    bound_is_lower: bool
+    __slots__ = ()
 
 
 def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
@@ -224,14 +220,10 @@ _TRIANGLE_ROWS = {
 }
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(namedtuple("TransformReport", "triangle z verdict witnesses")):
     """z = triangle * x and the log-convexity evidence for z."""
 
-    triangle: Triangle
-    z: tuple[Fraction, ...]
-    verdict: bool
-    witnesses: tuple[int, ...]
+    __slots__ = ()
 
 
 def transform_log_convexity_experiment(

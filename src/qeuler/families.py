@@ -24,8 +24,7 @@ polynomial is q times the descent polynomial for n >= 1.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -78,24 +77,21 @@ _FAMILIES: dict[Family, tuple[tuple[str, ...], Callable]] = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "family t a d")):
     """A family plus whichever parameters it needs (and no others)."""
 
-    family: Family
-    t: Fraction | None = None
-    a: Fraction | None = None
-    d: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        names = _FAMILIES[self.family][0]
-        for name in ("t", "a", "d"):
-            value = getattr(self, name)
+    def __new__(cls, family: Family, t=None, a=None, d=None) -> FamilySpec:
+        names = _FAMILIES[family][0]
+        values = {"t": t, "a": a, "d": d}
+        for name, value in values.items():
             if (value is None) == (name in names):
                 verb = "requires" if value is None else "takes no"
-                raise ValueError(f"{self.family.value} {verb} {name}")
+                raise ValueError(f"{family.value} {verb} {name}")
             if value is not None:
-                object.__setattr__(self, name, as_fraction(value))
+                values[name] = as_fraction(value)
+        return super().__new__(cls, family, **values)
 
     @property
     def params(self) -> dict[str, Fraction]:

@@ -30,13 +30,14 @@ polynomial products and exact divisions in Q[q].  Its quotients are
 identically s_0 + ... + s_k and t_k, so when the weights are
 polynomials every division leaves no remainder; a remainder is refused
 rather than carried as a rational function, and a vanishing norm
-<Q_k, x^k> means the functional is not quasi-definite.  ``cli`` writes
-a ``JFraction`` as JSON; this module has no serialization.
+<Q_k, x^k> means the functional is not quasi-definite.  A ``JFraction``
+is a named tuple, and ``cli`` writes its ``_asdict()`` as JSON; this
+module has no serialization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .algebra import ONE, QPoly, ZERO, as_fraction, as_qpoly, poly_divmod, poly_dot
@@ -57,22 +58,19 @@ class NonQuasiDefiniteError(ValueError):
     """A norm <Q_k, x^k> vanished: the functional has no J-fraction."""
 
 
-@dataclass(frozen=True)
-class JFraction:
+class JFraction(namedtuple("JFraction", "s t")):
     """Continued-fraction weights; ``t[i]`` stores ``t_{i+1}``."""
 
-    s: tuple[QPoly, ...]
-    t: tuple[QPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", tuple(as_qpoly(v) for v in self.s))
-        object.__setattr__(self, "t", tuple(as_qpoly(v) for v in self.t))
-        if not self.s:
+    def __new__(cls, s: Sequence, t: Sequence) -> JFraction:
+        s = tuple(as_qpoly(v) for v in s)
+        t = tuple(as_qpoly(v) for v in t)
+        if not s:
             raise ValueError("at least s_0 is required")
-        if len(self.t) != len(self.s) - 1:
-            raise ValueError(
-                f"want len(t) = len(s) - 1, got {len(self.t)} vs {len(self.s)}"
-            )
+        if len(t) != len(s) - 1:
+            raise ValueError(f"want len(t) = len(s) - 1, got {len(t)} vs {len(s)}")
+        return super().__new__(cls, s, t)
 
     @property
     def depth(self) -> int:

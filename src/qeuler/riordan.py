@@ -38,7 +38,7 @@ P as JSON; this module has no serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -57,30 +57,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpRiordan:
+class ExpRiordan(namedtuple("ExpRiordan", "g f")):
     """The pair (g, f) defining an exponential Riordan array."""
 
-    g: TruncSeries
-    f: TruncSeries
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.g.order != self.f.order:
+    def __new__(cls, g: TruncSeries, f: TruncSeries) -> ExpRiordan:
+        if g.order != f.order:
             raise ValueError("g and f must share a truncation order")
-        if self.g.coeffs[0].is_zero:
+        if g.coeffs[0].is_zero:
             raise ValueError("g(0) must be invertible")
-        if not self.f.coeffs[0].is_zero:
+        if not f.coeffs[0].is_zero:
             raise ValueError("f(0) must be 0")
-        if self.f.order < 2 or self.f.coeffs[1].is_zero:
+        if f.order < 2:
+            raise ValueError(f"order {f.order} holds no linear term of f; order must be >= 2")
+        if f.coeffs[1].is_zero:
             raise ValueError("f'(0) must be invertible")
+        return super().__new__(cls, g, f)
 
     @property
     def order(self) -> int:
         return self.g.order
 
 
-@dataclass(frozen=True)
-class ProductionData:
+class ProductionData(namedtuple("ProductionData", "entries")):
     """A production matrix window: the rows ``entries[0..nrows-1]`` of P.
 
     ``tridiagonal`` holds when every entry the window can see off the
@@ -88,7 +88,7 @@ class ProductionData:
     diagonal then carries ``s_i`` and the subdiagonal ``t_i``.
     """
 
-    entries: tuple[tuple[QPoly, ...], ...]
+    __slots__ = ()
 
     @property
     def nrows(self) -> int:

@@ -170,6 +170,16 @@ def test_prodmat_matches_cfrac_weights(capsys):
     assert prod["result"]["s"][:5] == cf["result"]["jfraction"]["s"]
 
 
+
+def test_prodmat_order_one_names_the_order(capsys):
+    code, out, err = run_cli(capsys, "prodmat", "--family", "TypeB", "--order", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "order 1 holds no linear term of f; order must be >= 2"}
+    code, payload = run_json(capsys, "prodmat", "--family", "TypeB", "--order", "2")
+    assert code == 0
+    assert payload["result"]["tridiagonal"] is True
+
+
 # -- check ---------------------------------------------------------------------------
 
 
@@ -401,6 +411,23 @@ def test_invert_moments_refuses_empty_file(capsys, tmp_path, data):
     assert (code, out, err) == (2, "", '{"error": "empty moment sequence"}\n')
 
 
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (("invert-moments", "--file"), "moment"),
+        (("conjecture", "--triangle", "A", "--seq"), "sequence"),
+    ],
+)
+def test_deeply_nested_json_file_exits_two(capsys, tmp_path, argv, what):
+    # json.load recurses once per level; exit 1 would claim witnesses were found
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"{what} file nests JSON arrays or objects too deeply"}
+
+
 # -- usage errors ----------------------------------------------------------------------
 
 
@@ -489,6 +516,34 @@ def test_envelope_has_version_but_no_timestamps(capsys):
     _, payload = run_json(capsys, "cfrac", "--family", "TypeB", "--depth", "2")
     assert payload["meta"]["tool"] == "qeuler"
     assert set(payload) == {"meta", "command", "config", "result"}
+
+
+
+def _int_digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_results_past_the_int_string_digit_limit_are_printed(capsys):
+    # coefficients near (10^120)^40 have about 4,800 digits, past CPython's
+    # default limit of 4,300 for int <-> str conversion
+    big = 10**120
+    argv = ("table", "--family", "General", "--a", str(big), "--d", str(big),
+            "--nmax", "40", "--route", "recurrence")
+    limit = _int_digit_limit()
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert _int_digit_limit() == limit  # restored for this in-process caller
+    code, out, err = run_cli(capsys, *argv, "--format", "text")
+    assert (code, err) == (0, "")
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        rows = [p.to_json() for p in families.recurrence_polynomial(big, 1, big, 40)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert max(len(c) for row in rows for c in row) > 4300
+    assert payload["result"]["rows"] == rows
 
 
 def test_module_entry_point():

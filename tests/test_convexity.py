@@ -73,7 +73,7 @@ def test_checks_need_three_polynomials():
 
 def test_reports_serialize():
     report = check_q_log_convex([ONE, ONE + Q, ONE])
-    data = _as_json(report)
+    data = _as_json(report._asdict())
     assert list(data) == ["verdict", "witnesses", "checked_range"]
     assert data["verdict"] is False
     assert data["witnesses"] == [[1, 1, 1]]
@@ -106,7 +106,7 @@ def test_criterion_flags_negative_weights_separately():
     # flags the negative coefficient inside s_1 itself
     assert not report.hypothesis_nonneg
     assert ("s", 1, 1) in report.hypothesis_witnesses
-    data = _as_json(report)
+    data = _as_json(report._asdict())
     assert list(data) == [
         "verdict", "witnesses", "checked_range",
         "hypothesis_nonneg", "hypothesis_witnesses", "gap_at_zero_nonneg",
@@ -226,7 +226,7 @@ def test_transform_refuses_bad_input():
 def test_transform_report_serializes():
     xs = builtin_sequence("powers2", 4)
     report = transform_log_convexity_experiment(Triangle.EULERIAN_B, xs, 3)
-    data = _as_json(report)
+    data = _as_json(report._asdict())
     assert list(data) == ["triangle", "z", "verdict", "witnesses"]
     assert data["triangle"] == "B"
     assert data["verdict"] is True

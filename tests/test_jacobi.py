@@ -51,7 +51,7 @@ def test_jfraction_validates_lengths():
 def test_jfraction_json_round_trip():
     # the command line prints {"s": [...], "t": [...]}; reading it back gives jf
     jf = jfraction_from_params(1, 1, 2, 4)
-    data = json.loads(json.dumps(jf, default=_json_value))
+    data = json.loads(json.dumps(jf._asdict(), default=_json_value))
     assert list(data) == ["s", "t"]
     assert JFraction(*(tuple(map(QPoly.from_json, data[k])) for k in "st")) == jf
 

@@ -3,7 +3,7 @@
 Every CLI command is one fresh interpreter, so the modules it imports
 are part of its cost.  The module checks run each command in a child
 process, which starts with an empty ``sys.modules``, and record the
-``qeuler`` submodules loaded by the time it returns.
+modules loaded by the time it returns.
 """
 
 import importlib
@@ -28,12 +28,12 @@ if sys.argv[1:]:
     from qeuler.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[1:]) == 0
-print(json.dumps([m for m in sys.modules if m.startswith("qeuler.")]))
+print(json.dumps(list(sys.modules)))
 """
 
 
-def _loaded(*argv: str) -> set[str]:
-    """The ``qeuler`` submodules a fresh interpreter holds after running ARGV."""
+def _modules(*argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ARGV."""
     src = str(Path(qeuler.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -43,7 +43,12 @@ def _loaded(*argv: str) -> set[str]:
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    return {name.removeprefix("qeuler.") for name in json.loads(proc.stdout)}
+    return set(json.loads(proc.stdout))
+
+
+def _loaded(*argv: str) -> set[str]:
+    """The ``qeuler`` submodules a fresh interpreter holds after running ARGV."""
+    return {m.removeprefix("qeuler.") for m in _modules(*argv) if m.startswith("qeuler.")}
 
 
 def test_import_qeuler_loads_no_submodule():
@@ -65,6 +70,36 @@ def test_prodmat_loads_neither_jacobi_nor_convexity():
     loaded = _loaded("prodmat", "--family", "TypeB", "--order", "4")
     assert "riordan" in loaded
     assert not loaded & {"jacobi", "convexity"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    return _modules()
+
+
+_FAMILY = ("--family", "TypeB")
+_TABLE_ROUTES = ("egf", "cfrac", "enum", "recurrence")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *[("table", *_FAMILY, "--nmax", "4", "--route", r) for r in _TABLE_ROUTES],
+        ("cfrac", *_FAMILY, "--depth", "3"),
+        ("prodmat", *_FAMILY, "--order", "4"),
+        ("check", *_FAMILY, "--mode", "qlcx", "--nmax", "4"),
+        ("check", *_FAMILY, "--mode", "strong", "--nmax", "4"),
+        ("check", *_FAMILY, "--mode", "zhu", "--imax", "2"),
+        ("conjecture", "--triangle", "A", "--seq", "catalan", "--nmax", "4"),
+        ("invert-moments", *_FAMILY, "--nmax", "6"),
+        ("selftest", "--nmax", "2"),
+    ],
+    ids=" ".join,
+)
+def test_no_command_loads_the_dataclass_machinery(bare_modules, argv):
+    # library records are named tuples; dataclasses would also pull in inspect.
+    # Only what the command adds counts: a site hook may load either at start.
+    assert (_modules(*argv) - bare_modules) & {"dataclasses", "inspect"} == set()
 
 
 def test_every_public_name_is_its_home_module_object():
