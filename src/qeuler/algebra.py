@@ -17,8 +17,11 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
   refused.
 * ``poly_dot`` -- the sum of products over paired entries, skipping zero
   factors: every convolution, matrix entry and inner product in the
-  package is one call.  It multiplies through ``x * y``, so
-  ``QPoly.__mul__`` stays the only polynomial product.
+  package is one call.  It multiplies through ``x * y``.
+* ``_add_nums`` and ``_mul_nums`` -- the sum and the product of integer
+  coefficient lists.  ``QPoly.__add__`` and ``QPoly.__mul__`` run them,
+  and so does the integer path sum of ``jacobi``; they are the package's
+  only polynomial sum and product loops.
 * ``QRatFun``  -- a quotient of two ``QPoly`` in canonical form: the
   denominator is monic, the fraction is fully reduced by ``poly_gcd``,
   and a zero numerator forces denominator 1.  No route uses it; it
@@ -36,6 +39,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 __all__ = [
     "Rat",
@@ -194,12 +198,7 @@ class QPoly:
             a = [c * (odn // g) for c in a]
             b = [c * (den // g) for c in b]
             den = den // g * odn
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _from_parts(out, den)
+        return _from_parts(_add_nums(a, b), den)
 
     __radd__ = __add__
 
@@ -222,17 +221,7 @@ class QPoly:
         o = QPoly._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._num, o._num
-        if not a or not b:
-            return ZERO
-        if len(a) < len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, cb in enumerate(b):
-            if cb:
-                for j, ca in enumerate(a, i):
-                    out[j] += ca * cb
-        return _from_parts(out, self._den * o._den)
+        return _from_parts(_mul_nums(self._num, o._num), self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -335,6 +324,32 @@ def _set_parts(poly: QPoly, num: list[int], den: int) -> None:
             num = [c // g for c in num]
     object.__setattr__(poly, "_num", tuple(num))
     object.__setattr__(poly, "_den", den)
+
+
+def _add_nums(a, b) -> list[int]:
+    """The coefficientwise sum of two integer coefficient sequences, as a new list."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(add, a, b))
+    out += a[len(b):]
+    return out
+
+
+def _mul_nums(a, b) -> list[int]:
+    """The coefficients of the product of two integer coefficient sequences.
+
+    Either operand empty (the zero polynomial) gives ``[]``.
+    """
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, cb in enumerate(b):
+        if cb:
+            for j, ca in enumerate(a, i):
+                out[j] += ca * cb
+    return out
 
 
 def _from_parts(num: list[int], den: int) -> QPoly:

@@ -34,12 +34,14 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from operator import mul
-from typing import Callable, Sequence
+from operator import lt, mul
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .algebra import QPoly, Rat, as_fraction, as_qpoly
+from .algebra import ZERO, QPoly, Rat, as_fraction, as_qpoly
 from .families import eulerian_rows
-from .jacobi import JFraction, jfraction_from_params
+
+if TYPE_CHECKING:
+    from .jacobi import JFraction
 
 __all__ = [
     "Witness",
@@ -79,12 +81,24 @@ class CriterionReport(namedtuple("CriterionReport", ConvexityReport._fields + (
     __slots__ = ()
 
 
-def _first_negative(poly: QPoly) -> int:
-    # the common denominator is positive, so the numerators carry the signs
-    for k, c in enumerate(poly._num):
-        if c < 0:
-            return k
-    raise ValueError("polynomial has no negative coefficient")
+def _first_drop(f: QPoly, g: QPoly) -> int | None:
+    """The first power of q whose coefficient in f - g is negative, or None.
+
+    f - g is never built: with both denominators positive, the
+    coefficient of q^k is negative exactly when f_k den(g) < g_k den(f)
+    for the numerators f_k and g_k.  So ``f >=_q g`` is
+    ``_first_drop(f, g) is None``.
+    """
+    fn, gn = f._num, g._num
+    if f._den != g._den and fn and gn:
+        fn, gn = [c * g._den for c in fn], [c * f._den for c in gn]
+    pad = len(gn) - len(fn)
+    if pad > 0:
+        fn += (0,) * pad
+    elif pad:
+        gn += (0,) * -pad
+    drops = list(map(lt, fn, gn))
+    return drops.index(True) if True in drops else None
 
 
 def check_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
@@ -95,9 +109,9 @@ def check_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
     witnesses: list[Witness] = []
     last = len(polys) - 2
     for n in range(1, last + 1):
-        diff = polys[n - 1] * polys[n + 1] - polys[n] * polys[n]
-        if not diff.is_nonneg():
-            witnesses.append((n, n, _first_negative(diff)))
+        k = _first_drop(polys[n - 1] * polys[n + 1], polys[n] * polys[n])
+        if k is not None:
+            witnesses.append((n, n, k))
     return ConvexityReport(
         verdict=not witnesses,
         witnesses=tuple(witnesses),
@@ -124,9 +138,9 @@ def check_strong_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
         prev = polys[low - 1] * polys[sigma - low + 1]
         for m in range(low, sigma // 2 + 1):
             cur = polys[m] * polys[sigma - m]
-            diff = prev - cur
-            if not diff.is_nonneg():
-                witnesses.append((m, sigma - m, _first_negative(diff)))
+            k = _first_drop(prev, cur)
+            if k is not None:
+                witnesses.append((m, sigma - m, k))
             prev = cur
     witnesses.sort()
     return ConvexityReport(
@@ -151,24 +165,22 @@ def moment_convexity_criterion(jf: JFraction, i_max: int) -> CriterionReport:
         )
     witnesses: list[Witness] = []
     for i in range(1, i_max + 1):
-        gap = jf.s[i] * jf.s[i + 1] - jf.t[i]
-        if not gap.is_nonneg():
-            witnesses.append((i, i + 1, _first_negative(gap)))
+        k = _first_drop(jf.s[i] * jf.s[i + 1], jf.t[i])
+        if k is not None:
+            witnesses.append((i, i + 1, k))
     hypothesis_witnesses: list[tuple[str, int, int]] = []
-    for i in range(i_max + 2):
-        if not jf.s[i].is_nonneg():
-            hypothesis_witnesses.append(("s", i, _first_negative(jf.s[i])))
-    for j in range(1, i_max + 2):
-        if not jf.t[j - 1].is_nonneg():
-            hypothesis_witnesses.append(("t", j, _first_negative(jf.t[j - 1])))
-    gap0 = jf.s[0] * jf.s[1] - jf.t[0]
+    for name, first, weights in (("s", 0, jf.s[: i_max + 2]), ("t", 1, jf.t[: i_max + 1])):
+        for j, w in enumerate(weights, first):
+            k = _first_drop(w, ZERO)
+            if k is not None:
+                hypothesis_witnesses.append((name, j, k))
     return CriterionReport(
         verdict=not witnesses,
         witnesses=tuple(witnesses),
         checked_range=(1, i_max),
         hypothesis_nonneg=not hypothesis_witnesses,
         hypothesis_witnesses=tuple(hypothesis_witnesses),
-        gap_at_zero_nonneg=gap0.is_nonneg(),
+        gap_at_zero_nonneg=_first_drop(jf.s[0] * jf.s[1], jf.t[0]) is None,
     )
 
 
@@ -192,6 +204,8 @@ def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
 
     it is whenever b >= 0 and d >= a >= 0.
     """
+    from .jacobi import jfraction_from_params
+
     if i < 0:
         raise ValueError("i must be >= 0")
     fa, fb, fd = as_fraction(a), as_fraction(b), as_fraction(d)
@@ -202,7 +216,8 @@ def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
         fa * fb * fb * fd - fa * fa * fb * fb,
         (fd * i + fb * fd - fa * fb) * (fd * i + fd + fb * fd - fa * fb),
     )
-    return GapResult(gap=gap, reference_bound=bound, bound_is_lower=(gap - bound).is_nonneg())
+    lower = _first_drop(gap, bound) is None
+    return GapResult(gap=gap, reference_bound=bound, bound_is_lower=lower)
 
 
 # -- transform experiments ---------------------------------------------------

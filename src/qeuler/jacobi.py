@@ -9,7 +9,10 @@ held as a plain tuple of ``QPoly``.  Three independent computations
 meet here and must agree exactly:
 
 * ``moments_by_motzkin_paths``   -- weighted lattice-path sums (level
-  step at height i weighs s_i, down step from height i weighs t_i);
+  step at height i weighs s_i, down step from height i weighs t_i),
+  run on integer numerators: with L the lcm of the weight denominators,
+  a level step weighs L s_i, a down step L^2 t_i and an up step 1, so
+  every path of length n carries L^n and mu_n is reduced once, over L^n;
 * ``moments_by_cfrac_expansion`` -- the truncated fraction itself,
   written as one quotient N/D of polynomials in x by the three-term
   recurrence of its convergents and expanded by a single exact
@@ -38,9 +41,21 @@ module has no serialization.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import lcm
 from typing import Sequence
 
-from .algebra import ONE, QPoly, ZERO, as_fraction, as_qpoly, poly_divmod, poly_dot
+from .algebra import (
+    ONE,
+    QPoly,
+    ZERO,
+    _add_nums,
+    _from_parts,
+    _mul_nums,
+    as_fraction,
+    as_qpoly,
+    poly_divmod,
+    poly_dot,
+)
 
 __all__ = [
     "JFraction",
@@ -82,14 +97,24 @@ def jfraction_from_params(a, b, d, depth: int) -> JFraction:
 
         s_i     = (d i + a b) + (d i + b d - a b) q
         t_{i+1} = d^2 (i + 1)(i + b) q
+
+    Each weight is built from integers.  Over D = lcm of the
+    denominators of d, ab and bd - ab, s_i has the numerators
+    (Dd i + Dab, Dd i + D(bd - ab)); with d = p/r and b = u/v, t_{i+1}
+    has the numerator p^2 (i + 1)(v i + u) over r^2 v.
     """
     fa, fb, fd = as_fraction(a), as_fraction(b), as_fraction(d)
     if depth < 1:
         raise ValueError("depth must be positive")
-    s = tuple(
-        QPoly(fd * i + fa * fb, fd * i + fb * fd - fa * fb) for i in range(depth)
+    ab = fa * fb
+    parts = (fd, ab, fb * fd - ab)
+    den = lcm(*(x.denominator for x in parts))
+    step, s0, s1 = (x.numerator * (den // x.denominator) for x in parts)
+    s = tuple(_from_parts([step * i + s0, step * i + s1], den) for i in range(depth))
+    p, r, u, v = fd.numerator, fd.denominator, fb.numerator, fb.denominator
+    t = tuple(
+        _from_parts([0, p * p * (i + 1) * (v * i + u)], r * r * v) for i in range(depth - 1)
     )
-    t = tuple(QPoly(0, fd * fd * (i + 1) * (i + fb)) for i in range(depth - 1))
     return JFraction(s, t)
 
 
@@ -104,27 +129,40 @@ def _require_depth(jf: JFraction, height: int, what: str) -> None:
 def moments_by_motzkin_paths(jf: JFraction, count: int) -> tuple[QPoly, ...]:
     """mu_n as the total weight of closed lattice paths of length n.
 
-    Paths live on heights 0..floor((count-1)/2); anything climbing
-    higher cannot return to 0 within the window, so it is pruned.
+    After n steps a path must get back to 0 in the count - 1 - n steps
+    left, so heights above min(n, count - 1 - n) are pruned; no path
+    climbs above floor((count-1)/2).
+
+    The sum runs on integer numerators.  With L the lcm of the
+    denominators of the weights it reads, a level step at height h
+    weighs L s_h, a down step from height h + 1 weighs L^2 t_{h+1} and
+    an up step weighs 1.  A closed path has as many down steps as up
+    steps, so every path of length n carries the factor L^n: the
+    integer sum M_n is mu_n L^n, and mu_n is reduced once, as M_n / L^n.
     """
     if count < 1:
         raise ValueError("count must be positive")
     height = (count - 1) // 2
     _require_depth(jf, height, "motzkin moment computation")
-    cur: list[QPoly] = [ONE] + [ZERO] * height
+    s, t = jf.s[: height + 1], jf.t[:height]
+    scale = lcm(*(w._den for w in s + t))
+    level = [[c * (scale // w._den) for c in w._num] for w in s]
+    down = [[c * (scale * scale // w._den) for c in w._num] for w in t]
+    cur: list[list[int]] = [[1]]  # cur[h]: the scaled weight of paths ending at height h
     out: list[QPoly] = [ONE]
-    for _ in range(1, count):
-        nxt: list[QPoly] = [ZERO] * (height + 1)
-        for h, w in enumerate(cur):
-            if w.is_zero:
-                continue
-            nxt[h] = nxt[h] + w * jf.s[h]
-            if h + 1 <= height:
-                nxt[h + 1] = nxt[h + 1] + w
+    power = 1
+    for n in range(1, count):
+        nxt: list[list[int]] = []
+        for h in range(min(n, count - 1 - n) + 1):
+            acc = _mul_nums(cur[h], level[h]) if h < len(cur) else []
             if h:
-                nxt[h - 1] = nxt[h - 1] + w * jf.t[h - 1]
+                acc = _add_nums(acc, cur[h - 1])
+            if h + 1 < len(cur):
+                acc = _add_nums(acc, _mul_nums(cur[h + 1], down[h]))
+            nxt.append(acc)
         cur = nxt
-        out.append(cur[0])
+        power *= scale
+        out.append(_from_parts(cur[0][:], power))
     return tuple(out)
 
 

@@ -12,6 +12,7 @@ from qeuler.cli import _json_value
 from qeuler.convexity import (
     BUILTIN_SEQUENCES,
     Triangle,
+    _first_drop,
     builtin_sequence,
     check_q_log_convex,
     check_strong_q_log_convex,
@@ -19,7 +20,12 @@ from qeuler.convexity import (
     transform_log_convexity_experiment,
     weight_gap,
 )
-from qeuler.jacobi import JFraction, jfraction_from_params, moments_by_motzkin_paths
+from qeuler.jacobi import (
+    JFraction,
+    jfraction_from_params,
+    moments_by_cfrac_expansion,
+    moments_by_motzkin_paths,
+)
 
 ONE = QPoly(1)
 Q = QPoly(0, 1)
@@ -125,6 +131,75 @@ def test_criterion_gap_hand_value():
     jf = jfraction_from_params(1, 1, 1, 4)
     gap = jf.s[1] * jf.s[2] - jf.t[1]
     assert gap == QPoly(6, 3, 2)
+
+
+# -- witnesses without building the difference -----------------------------------------
+
+
+def _first_negative_of_difference(f, g):
+    # the definition: build f - g and scan its coefficients
+    return next((k for k, c in enumerate((f - g).coeffs) if c < 0), None)
+
+
+def test_first_drop_is_the_first_negative_coefficient_of_the_difference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    coeffs = st.lists(st.one_of(rational, st.just(Fraction(0))), max_size=7)
+    poly = st.one_of(st.just(QPoly()), coeffs.map(lambda cs: QPoly(*cs)))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(poly, poly)
+    def check(f, g):
+        assert _first_drop(f, g) == _first_negative_of_difference(f, g)
+        assert _first_drop(f, QPoly()) == _first_negative_of_difference(f, QPoly())
+        assert _first_drop(QPoly(), g) == _first_negative_of_difference(QPoly(), g)
+        assert _first_drop(f, f) is None
+
+    check()
+
+
+def _subtraction_witnesses(mu):
+    # the qlcx and strong witnesses as the full differences give them, pair by pair
+    last = len(mu) - 2
+    plain, strong = [], []
+    for n in range(1, last + 1):
+        for m in range(1, n + 1):
+            k = _first_negative_of_difference(mu[m - 1] * mu[n + 1], mu[m] * mu[n])
+            if k is not None:
+                strong.append((m, n, k))
+                if m == n:
+                    plain.append((n, n, k))
+    return tuple(plain), tuple(sorted(strong))
+
+
+# General(3, 1), TypeA_qt(-2) and TypeB_qt(-3/2) as (a, b, d): all three fail
+_FAILING_TRIPLES = [(3, 1, 1), (1, -2, 1), (1, 1, Fraction(-1, 2))]
+
+
+@pytest.mark.parametrize("abd", _FAILING_TRIPLES, ids=str)
+def test_check_witnesses_equal_the_subtraction_path(abd):
+    nmax = 22  # beyond the golden grid's 14 rows
+    mu = moments_by_cfrac_expansion(jfraction_from_params(*abd, (nmax - 1) // 2 + 1), nmax)
+    plain, strong = _subtraction_witnesses(mu)
+    assert plain and strong
+    assert check_q_log_convex(mu).witnesses == plain
+    assert check_strong_q_log_convex(mu).witnesses == strong
+
+
+@pytest.mark.parametrize("abd", _FAILING_TRIPLES, ids=str)
+def test_criterion_witnesses_equal_the_subtraction_path(abd):
+    i_max = 60  # beyond the golden grid's 30
+    jf = jfraction_from_params(*abd, i_max + 2)
+    report = moment_convexity_criterion(jf, i_max)
+    gaps = [_first_negative_of_difference(jf.s[i] * jf.s[i + 1], jf.t[i]) for i in range(i_max + 1)]
+    want = tuple((i, i + 1, k) for i, k in enumerate(gaps) if i and k is not None)
+    signs = [("s", i, _first_negative_of_difference(w, QPoly())) for i, w in enumerate(jf.s)]
+    signs += [("t", j, _first_negative_of_difference(w, QPoly())) for j, w in enumerate(jf.t, 1)]
+    assert report.hypothesis_witnesses
+    assert report.witnesses == want
+    assert report.hypothesis_witnesses == tuple(w for w in signs if w[2] is not None)
+    assert report.gap_at_zero_nonneg == (gaps[0] is None)
 
 
 # -- the expanded gap and its bound ---------------------------------------------------

@@ -87,6 +87,40 @@ def test_weights_accept_fractional_parameters():
     assert jf.t[0] == QPoly(0, Fraction(1, 2))
 
 
+def _closed_form_oracle(a, b, d, depth):
+    # the closed form in Fraction arithmetic, trailing zeros stripped
+    def strip(cs):
+        while cs and not cs[-1]:
+            cs.pop()
+        return tuple(cs)
+
+    s = [strip([d * i + a * b, d * i + b * d - a * b]) for i in range(depth)]
+    t = [strip([Fraction(0), d * d * (i + 1) * (i + b)]) for i in range(depth - 1)]
+    return s, t
+
+
+def test_integer_weights_equal_the_fraction_closed_form():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-40, max_value=40, max_denominator=30)
+    )
+
+    @hyp.settings(max_examples=120, deadline=None)
+    @hyp.given(rational, rational, rational, st.integers(min_value=1, max_value=12))
+    def check(a, b, d, depth):
+        jf = jfraction_from_params(a, b, d, depth)
+        s, t = _closed_form_oracle(a, b, d, depth)
+        assert [w.coeffs for w in jf.s] == s
+        assert [w.coeffs for w in jf.t] == t
+        # canonical storage: equal to, and hashed like, the Fraction-built polynomial
+        for got, want in zip(jf.s + jf.t, s + t):
+            assert got == QPoly(*want)
+            assert hash(got) == hash(QPoly(*want))
+
+    check()
+
+
 # -- moments ---------------------------------------------------------------------
 
 
@@ -166,6 +200,45 @@ def test_cfrac_matches_motzkin_property():
         depth = (count - 1) // 2 + 1
         jf = JFraction(tuple(s[:depth]), tuple(t[: depth - 1]))
         assert moments_by_cfrac_expansion(jf, count) == moments_by_motzkin_paths(jf, count)
+
+    check()
+
+
+def test_motzkin_matches_cfrac_on_family_triples():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    )
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(rational, rational, rational, st.integers(min_value=1, max_value=18))
+    def check(a, b, d, count):
+        jf = jfraction_from_params(a, b, d, (count - 1) // 2 + 1)
+        assert moments_by_motzkin_paths(jf, count) == moments_by_cfrac_expansion(jf, count)
+
+    check()
+
+
+def test_motzkin_matches_cfrac_on_degree_two_weights_with_mixed_denominators():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    scalar = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    lead = scalar.filter(bool)
+    weight = st.tuples(scalar, scalar, lead).map(lambda cs: QPoly(*cs))
+    t_weight = st.one_of(st.just(ZERO), weight)
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(
+        st.integers(min_value=1, max_value=16),
+        st.lists(weight, min_size=8, max_size=8),
+        st.lists(t_weight, min_size=7, max_size=7),
+    )
+    def check(count, s, t):
+        assert all(w.degree == 2 for w in s)
+        depth = (count - 1) // 2 + 1
+        jf = JFraction(tuple(s[:depth]), tuple(t[: depth - 1]))
+        assert moments_by_motzkin_paths(jf, count) == moments_by_cfrac_expansion(jf, count)
 
     check()
 

@@ -72,6 +72,18 @@ def test_prodmat_loads_neither_jacobi_nor_convexity():
     assert not loaded & {"jacobi", "convexity"}
 
 
+def test_conjecture_loads_convexity_but_not_jacobi():
+    loaded = _loaded("conjecture", "--triangle", "A", "--seq", "catalan", "--nmax", "4")
+    assert loaded == {"algebra", "families", "cli", "convexity"}
+
+
+@pytest.mark.parametrize("mode", ["qlcx", "strong", "zhu"])
+def test_check_loads_jacobi_and_convexity(mode):
+    size = ("--imax", "2") if mode == "zhu" else ("--nmax", "4")
+    loaded = _loaded("check", "--family", "TypeB", "--mode", mode, *size)
+    assert loaded == {"algebra", "families", "cli", "jacobi", "convexity"}
+
+
 @pytest.fixture(scope="module")
 def bare_modules() -> set[str]:
     return _modules()
