@@ -12,7 +12,7 @@ from qeuler.convexity import (
     builtin_sequence,
     transform_log_convexity_experiment,
 )
-from qeuler.families import t_zero_comparison_table
+from qeuler.walks import t_zero_comparison_table
 
 NMAX = 8
 

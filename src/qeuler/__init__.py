@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 
 #: Home module of each public name, in ``__all__`` order.
 _EXPORTS = {
-    "algebra": ("QPoly", "QRatFun", "as_fraction", "parse_rational", "poly_divmod", "poly_gcd"),
+    "algebra": ("QPoly", "as_fraction", "parse_rational", "poly_divmod", "poly_gcd"),
+    "ratfun": ("QRatFun",),
     "series": ("TruncSeries", "compose_all", "egf_polynomials", "egf_series"),
     "riordan": (
         "ExpRiordan",
@@ -42,16 +43,14 @@ _EXPORTS = {
     "families": (
         "Family",
         "FamilySpec",
-        "descent_polynomial",
         "enumeration_polynomial",
         "eulerian_numbers_type_a",
         "eulerian_numbers_type_b",
-        "excedance_cycle_polynomial",
         "family_egf_params",
         "recurrence_polynomial",
-        "signed_descent_polynomial",
         "type_b_polynomial",
     ),
+    "walks": ("descent_polynomial", "excedance_cycle_polynomial", "signed_descent_polynomial"),
     "convexity": (
         "BUILTIN_SEQUENCES",
         "ConvexityReport",

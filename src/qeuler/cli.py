@@ -6,7 +6,10 @@ for byte for a fixed invocation: the envelope carries only the tool
 name and version, never timestamps.
 
 Only this module writes JSON: handlers return library values, each
-record as its ``_asdict()``, and ``_json_value`` encodes them.
+record as its ``_asdict()``, and ``_json_value`` encodes them.  A
+handler returns its ``--format text`` lines as a callable, which
+``_run`` calls only for text output, so a JSON run formats no
+polynomial as text.
 
 At module level only ``algebra`` and ``families`` are imported, which
 the parser needs; each handler imports the routes it runs, so a
@@ -154,9 +157,9 @@ def _cmd_table(args):
     spec, abd, config = _family(args)
     rows = _table_rows(spec, abd, args.route, args.nmax)
     config |= {"nmax": args.nmax, "route": args.route}
-    lines = [f"{spec.label()} via {args.route}"]
-    lines += [f"  n={n}: {p}" for n, p in enumerate(rows)]
-    return config, {"rows": rows}, True, lines
+    return config, {"rows": rows}, True, lambda: [
+        f"{spec.label()} via {args.route}", *(f"  n={n}: {p}" for n, p in enumerate(rows))
+    ]
 
 
 def _weight_lines(s: Sequence[QPoly], t: Sequence[QPoly]) -> list[str]:
@@ -171,8 +174,9 @@ def _cmd_cfrac(args):
     spec, abd, config = _family(args)
     jf = jacobi.jfraction_from_params(*abd, args.depth)
     config["depth"] = args.depth
-    lines = [f"{spec.label()} continued-fraction weights", *_weight_lines(jf.s, jf.t)]
-    return config, {"jfraction": jf._asdict()}, True, lines
+    return config, {"jfraction": jf._asdict()}, True, lambda: [
+        f"{spec.label()} continued-fraction weights", *_weight_lines(jf.s, jf.t)
+    ]
 
 
 def _cmd_prodmat(args):
@@ -187,8 +191,11 @@ def _cmd_prodmat(args):
     config["order"] = args.order
     s = prod.s_values(prod.nrows)
     t = prod.t_values(prod.nrows - 1)
-    lines = [f"{spec.label()} production matrix, order {args.order}", "  tridiagonal: True"]
-    return config, {"tridiagonal": True, "s": s, "t": t}, True, lines + _weight_lines(s, t)
+    return config, {"tridiagonal": True, "s": s, "t": t}, True, lambda: [
+        f"{spec.label()} production matrix, order {args.order}",
+        "  tridiagonal: True",
+        *_weight_lines(s, t),
+    ]
 
 
 def _cmd_check(args):
@@ -216,10 +223,10 @@ def _cmd_check(args):
             report = convexity.check_q_log_convex(mu)
         else:
             report = convexity.check_strong_q_log_convex(mu)
-    lines = [f"{spec.label()} {args.mode}: {'pass' if report.verdict else 'FAIL'}"]
-    for w in report.witnesses:
-        lines.append(f"  witness {w}")
-    return config, {"report": report._asdict()}, report.verdict, lines
+    return config, {"report": report._asdict()}, report.verdict, lambda: [
+        f"{spec.label()} {args.mode}: {'pass' if report.verdict else 'FAIL'}",
+        *(f"  witness {w}" for w in report.witnesses),
+    ]
 
 
 def _exact(value) -> Fraction:
@@ -271,14 +278,12 @@ def _cmd_conjecture(args):
     report = convexity.transform_log_convexity_experiment(triangle, xs, args.nmax)
     config = {"triangle": args.triangle, "seq": args.seq, "nmax": args.nmax}
     result = {"input": xs[: args.nmax + 1], "report": report._asdict()}
-    lines = [
+    return config, result, report.verdict, lambda: [
         f"triangle {args.triangle} applied to {args.seq}: "
         f"{'log-convexity preserved' if report.verdict else 'WITNESSES FOUND'}",
         "  z = " + ", ".join(str(v) for v in report.z),
+        *(f"  witness n={n}" for n in report.witnesses),
     ]
-    for n in report.witnesses:
-        lines.append(f"  witness n={n}")
-    return config, result, report.verdict, lines
 
 
 def _moments_from_file(path: str) -> list[QPoly]:
@@ -308,9 +313,10 @@ def _cmd_invert_moments(args):
         raise ValueError("one of --file or --family is required")
     recovered = jacobi.jfraction_from_moments(moments, args.depth)
     config["depth"] = recovered.depth
-    lines = [f"recovered J-fraction of depth {recovered.depth}",
-             *_weight_lines(recovered.s, recovered.t)]
-    return config, {"jfraction": recovered._asdict()}, True, lines
+    return config, {"jfraction": recovered._asdict()}, True, lambda: [
+        f"recovered J-fraction of depth {recovered.depth}",
+        *_weight_lines(recovered.s, recovered.t),
+    ]
 
 
 _T_GRID = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
@@ -318,16 +324,18 @@ _GENERAL_GRID = ((1, 1), (1, 2), (1, 3), (2, 5), (0, 1))
 
 
 def _selftest_instances(clamp: int | None) -> list[tuple[FamilySpec, int]]:
+    from . import walks
+
     def cap(value: int) -> int:
         return min(value, clamp) if clamp else value
 
     out: list[tuple[FamilySpec, int]] = [
-        (FamilySpec(Family.TYPE_A_SHIFTED), cap(families.DESCENT_CAP)),
-        (FamilySpec(Family.TYPE_A), cap(families.DESCENT_CAP)),
+        (FamilySpec(Family.TYPE_A_SHIFTED), cap(walks.DESCENT_CAP)),
+        (FamilySpec(Family.TYPE_A), cap(walks.DESCENT_CAP)),
     ]
-    out += [(FamilySpec(Family.TYPE_A_QT, t=t), cap(families.DESCENT_CAP)) for t in _T_GRID]
-    out.append((FamilySpec(Family.TYPE_B), cap(families.SIGNED_CAP)))
-    out += [(FamilySpec(Family.TYPE_B_QT, t=t), cap(families.SIGNED_CAP)) for t in _T_GRID]
+    out += [(FamilySpec(Family.TYPE_A_QT, t=t), cap(walks.DESCENT_CAP)) for t in _T_GRID]
+    out.append((FamilySpec(Family.TYPE_B), cap(walks.SIGNED_CAP)))
+    out += [(FamilySpec(Family.TYPE_B_QT, t=t), cap(walks.SIGNED_CAP)) for t in _T_GRID]
     out += [
         (FamilySpec(Family.GENERAL, a=Fraction(a), d=Fraction(d)), cap(10))
         for a, d in _GENERAL_GRID
@@ -358,9 +366,10 @@ def _cmd_selftest(args):
     config = {"nmax": args.nmax} if args.nmax else {}
     result = {"all_pass": all_pass, "checks": len(matrix), "matrix": matrix}
     failures = [row for row in matrix if not row["pass"]]
-    lines = [f"selftest: {len(matrix) - len(failures)}/{len(matrix)} checks passed"]
-    lines += [f"  FAIL {row['family']} n={row['n']} {row['pair']}" for row in failures]
-    return config, result, all_pass, lines
+    return config, result, all_pass, lambda: [
+        f"selftest: {len(matrix) - len(failures)}/{len(matrix)} checks passed",
+        *(f"  FAIL {row['family']} n={row['n']} {row['pair']}" for row in failures),
+    ]
 
 
 _HANDLERS = {
@@ -413,7 +422,7 @@ def _run(argv: list[str] | None) -> int:
     try:
         config, result, okay, lines = _HANDLERS[args.command](args)
         if args.format == "text":
-            text = "\n".join(lines)
+            text = "\n".join(lines())
         else:
             envelope = {
                 "meta": {"tool": "qeuler", "version": __version__},

@@ -1,4 +1,4 @@
-"""The six polynomial families and their combinatorial enumerations.
+"""The six polynomial families, their recurrence route and their enumeration route.
 
 Every family is a specialization of the EGF parameter triple (a, b, d).
 The table ``_FAMILIES`` is the one place a family is declared: which of
@@ -6,19 +6,16 @@ t, a and d it takes, and its triple as a function of them.
 ``FamilySpec``, its label, ``family_egf_params`` and the command line
 all read it.
 
-The enumeration functions here are deliberately naive (they walk the
-whole group) because they serve as independent oracles for the
-generating-function and continued-fraction routes.  Distributions are
-cached per n, so evaluating at several t values costs one walk.
-
 Every family's recurrence route is one integer triangle, ``eulerian_rows``,
 on the linear forms (ab, bd, d); type A is (1, 1, 1) and type B (1, 2, 2).
 ``type_b_polynomial`` is kept only as an independent check of type B.
 
-Two normalization quirks are encoded once, in ``enumeration_polynomial``:
-the excedance statistic carries a conventional extra factor q (so the
-qt-family enumeration is q times its EGF), and the classical type-A
-polynomial is q times the descent polynomial for n >= 1.
+The enumeration route, ``enumeration_polynomial``, reads the group walks
+of ``walks``, and imports that module only when it walks a group.  Two
+normalization quirks are encoded once, there: the excedance statistic
+carries a conventional extra factor q (so the qt-family enumeration is q
+times its EGF), and the classical type-A polynomial is q times the
+descent polynomial for n >= 1.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ from __future__ import annotations
 import enum
 from collections import deque, namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations, product
 from math import lcm
 from typing import Callable, Iterator
 
@@ -36,24 +31,14 @@ from .algebra import ONE, Q, QPoly, Rat, as_fraction
 __all__ = [
     "Family",
     "FamilySpec",
-    "DESCENT_CAP",
-    "SIGNED_CAP",
     "family_egf_params",
-    "descent_polynomial",
-    "excedance_cycle_polynomial",
-    "signed_descent_polynomial",
     "eulerian_rows",
     "eulerian_numbers_type_a",
     "eulerian_numbers_type_b",
     "type_b_polynomial",
     "enumeration_polynomial",
     "recurrence_polynomial",
-    "t_zero_comparison_table",
 ]
-
-#: Hard ceilings for the exhaustive walks: 8! and 2^7 * 7! group elements.
-DESCENT_CAP = 8
-SIGNED_CAP = 7
 
 
 class Family(enum.Enum):
@@ -107,94 +92,6 @@ def family_egf_params(spec: FamilySpec) -> tuple[Fraction, Fraction, Fraction]:
     """The (a, b, d) triple feeding the EGF / J-fraction / Riordan routes."""
     a, b, d = _FAMILIES[spec.family][1](*spec.params.values())
     return Fraction(a), Fraction(b), Fraction(d)
-
-
-# -- exhaustive statistics, cached per n ------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _descent_counts(n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for pi in permutations(range(1, n + 1)):
-        des = sum(pi[i] > pi[i + 1] for i in range(n - 1))
-        counts[des] += 1
-    return tuple(counts)
-
-
-@lru_cache(maxsize=None)
-def _exc_cycle_counts(n: int) -> tuple[tuple[int, int, int], ...]:
-    counts: dict[tuple[int, int], int] = {}
-    for pi in permutations(range(1, n + 1)):
-        exc = sum(v > i for i, v in enumerate(pi, start=1))
-        seen = [False] * n
-        cyc = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            cyc += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = pi[j] - 1
-        key = (exc, cyc)
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted((e, c, m) for (e, c), m in counts.items()))
-
-
-@lru_cache(maxsize=None)
-def _signed_descent_counts(n: int) -> tuple[tuple[int, int, int], ...]:
-    # descents of w(0) w(1) .. w(n) with the sentinel w(0) = 0
-    counts: dict[tuple[int, int], int] = {}
-    for base in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            prev = 0
-            des = 0
-            neg = 0
-            for b, s in zip(base, signs):
-                v = b if s > 0 else -b
-                if s < 0:
-                    neg += 1
-                if prev > v:
-                    des += 1
-                prev = v
-            key = (des, neg)
-            counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted((d, g, m) for (d, g), m in counts.items()))
-
-
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if not 1 <= n <= cap:
-        raise ValueError(f"{what} enumerates groups only for 1 <= n <= {cap}, got {n}")
-
-
-def descent_polynomial(n: int, cap: int = DESCENT_CAP) -> QPoly:
-    """sum over S_n of q^{des(pi)}, by exhaustive walk."""
-    _check_cap(n, cap, "descent_polynomial")
-    return QPoly(*_descent_counts(n))
-
-
-def excedance_cycle_polynomial(n: int, t: Rat | str, cap: int = DESCENT_CAP) -> QPoly:
-    """sum over S_n of q^{exc(pi)+1} t^{cyc(pi)}.
-
-    Note the conventional extra factor q: at t = 1 this is q times the
-    descent polynomial, not the descent polynomial itself.
-    """
-    _check_cap(n, cap, "excedance_cycle_polynomial")
-    ft = as_fraction(t)
-    coeffs = [Fraction(0)] * (n + 1)
-    for exc, cyc, count in _exc_cycle_counts(n):
-        coeffs[exc + 1] += count * ft**cyc
-    return QPoly(*coeffs)
-
-
-def signed_descent_polynomial(n: int, t: Rat | str, cap: int = SIGNED_CAP) -> QPoly:
-    """sum over signed permutations of q^{des(w)} t^{neg(w)}, sentinel w(0)=0."""
-    _check_cap(n, cap, "signed_descent_polynomial")
-    ft = as_fraction(t)
-    coeffs = [Fraction(0)] * (n + 1)
-    for des, neg, count in _signed_descent_counts(n):
-        coeffs[des] += count * ft**neg
-    return QPoly(*coeffs)
 
 
 # -- recurrences -------------------------------------------------------------
@@ -289,40 +186,18 @@ def enumeration_polynomial(spec: FamilySpec, count: int) -> list[QPoly]:
     fam = spec.family
     if fam is Family.GENERAL:
         return recurrence_polynomial(spec.a, 1, spec.d, count)
-    cap = DESCENT_CAP
+    from . import walks
+
+    cap = walks.DESCENT_CAP
     if fam is Family.TYPE_A_SHIFTED:
-        walk = descent_polynomial
+        walk = walks.descent_polynomial
     elif fam is Family.TYPE_A:
-        walk = lambda n: Q * descent_polynomial(n)
+        walk = lambda n: Q * walks.descent_polynomial(n)
     elif fam is Family.TYPE_A_QT:
-        walk = lambda n: excedance_cycle_polynomial(n, spec.t).divide_by_q()
+        walk = lambda n: walks.excedance_cycle_polynomial(n, spec.t).divide_by_q()
     else:
         t = 1 if spec.t is None else spec.t
-        walk, cap = (lambda n: signed_descent_polynomial(n, t)), SIGNED_CAP
+        walk, cap = (lambda n: walks.signed_descent_polynomial(n, t)), walks.SIGNED_CAP
     if count - 1 > cap:
         walk(cap + 1)  # raises the error an upward walk would meet, before walking any group
     return [ONE, *map(walk, range(1, count))][:count]
-
-
-def t_zero_comparison_table(nmax: int = 6) -> list[dict]:
-    """Compare the signed enumeration at t = 0 with the TypeA polynomial.
-
-    Folklore would suggest they coincide; in this normalization the
-    signed walk at t = 0 lands on the descent polynomial (the shifted
-    family), one factor of q below TypeA.  The table reports both plus
-    the observed relation, for every n up to nmax.
-    """
-    rows = []
-    for n in range(1, nmax + 1):
-        signed_t0 = signed_descent_polynomial(n, 0)
-        type_a = Q * descent_polynomial(n)
-        rows.append(
-            {
-                "n": n,
-                "signed_t0": signed_t0,
-                "type_a": type_a,
-                "equal": signed_t0 == type_a,
-                "type_a_is_q_times_signed_t0": type_a == Q * signed_t0,
-            }
-        )
-    return rows

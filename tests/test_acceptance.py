@@ -27,11 +27,9 @@ from qeuler.convexity import (
 from qeuler.families import (
     Family,
     FamilySpec,
-    descent_polynomial,
     enumeration_polynomial,
     eulerian_numbers_type_b,
     family_egf_params,
-    signed_descent_polynomial,
     type_b_polynomial,
 )
 from qeuler.jacobi import (
@@ -53,6 +51,7 @@ from qeuler.riordan import (
     riordan_matrix,
 )
 from qeuler.series import egf_polynomials
+from qeuler.walks import descent_polynomial, signed_descent_polynomial
 
 ONE = QPoly(1)
 Q = QPoly(0, 1)

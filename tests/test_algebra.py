@@ -8,7 +8,6 @@ import pytest
 from qeuler.algebra import (
     QPoly,
     ZERO,
-    QRatFun,
     as_fraction,
     as_qpoly,
     parse_rational,
@@ -16,6 +15,7 @@ from qeuler.algebra import (
     poly_dot,
     poly_gcd,
 )
+from qeuler.ratfun import QRatFun
 
 
 def _rand_poly(rng, max_deg, allow_zero=True):

@@ -11,6 +11,7 @@ import pytest
 
 import qeuler.families as families
 import qeuler.jacobi as jacobi
+import qeuler.walks as walks
 from qeuler.cli import _json_value, main
 from qeuler.families import eulerian_rows
 from qeuler.jacobi import JFraction
@@ -110,7 +111,7 @@ def test_over_cap_enum_table_is_refused_before_any_walk(capsys, monkeypatch, fam
         raise AssertionError(f"walked a group of size {n}")
 
     for walk in ("_descent_counts", "_exc_cycle_counts", "_signed_descent_counts"):
-        monkeypatch.setattr(families, walk, no_walk)
+        monkeypatch.setattr(walks, walk, no_walk)
     code, out, err = run_cli(capsys, "table", *family, "--nmax", nmax, "--route", "enum")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": error}

@@ -8,23 +8,25 @@ import pytest
 from qeuler.algebra import QPoly
 from qeuler.cli import main
 from qeuler.families import (
-    DESCENT_CAP,
-    SIGNED_CAP,
     Family,
     FamilySpec,
-    descent_polynomial,
     enumeration_polynomial,
     eulerian_numbers_type_a,
     eulerian_numbers_type_b,
-    excedance_cycle_polynomial,
     family_egf_params,
     recurrence_polynomial,
-    signed_descent_polynomial,
-    t_zero_comparison_table,
     type_b_polynomial,
 )
 from qeuler.jacobi import jfraction_from_params, moments_by_cfrac_expansion
 from qeuler.series import egf_polynomials
+from qeuler.walks import (
+    DESCENT_CAP,
+    SIGNED_CAP,
+    descent_polynomial,
+    excedance_cycle_polynomial,
+    signed_descent_polynomial,
+    t_zero_comparison_table,
+)
 
 Q = QPoly(0, 1)
 

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from qeuler import cli
+from qeuler.algebra import QPoly
 
 _TYPE_B = ("--family", "TypeB")
 _TYPE_A_QT = ("--family", "TypeA_qt", "--t", "4/3")
@@ -123,7 +124,8 @@ def test_file_input_output_bytes_are_golden(argv, code, digest, tmp_path, monkey
     assert _digest(capsys) == digest
 
 
-_JSON_CASES = [argv for argv, _, _ in GOLDEN + FILE_GOLDEN if "text" not in argv]
+_JSON_GOLDEN = [case for case in GOLDEN + FILE_GOLDEN if "text" not in case[0]]
+_JSON_CASES = [argv for argv, _, _ in _JSON_GOLDEN]
 
 
 @pytest.mark.parametrize("argv", _JSON_CASES, ids=" ".join)
@@ -140,6 +142,22 @@ def test_golden_json_holds_no_float(argv, tmp_path, monkeypatch, capsys):
             json.loads(stream, parse_float=refuse)
 
 
+@pytest.mark.parametrize(
+    "argv,code,digest", _JSON_GOLDEN, ids=[" ".join(argv) for argv in _JSON_CASES]
+)
+def test_json_output_formats_no_polynomial_as_text(
+    argv, code, digest, tmp_path, monkeypatch, capsys
+):
+    # the text lines are built only for --format text
+    def refuse(self):
+        raise AssertionError(f"{' '.join(argv)} formatted a QPoly as text")
+
+    monkeypatch.setattr(QPoly, "__str__", refuse)
+    _write_files(tmp_path, monkeypatch)
+    assert cli.main(list(argv)) == code
+    assert _digest(capsys) == digest
+
+
 def _write_files(tmp_path, monkeypatch) -> None:
     for name, data in _FILES.items():
         (tmp_path / name).write_text(json.dumps(data))
@@ -149,3 +167,4 @@ def _write_files(tmp_path, monkeypatch) -> None:
 def _digest(capsys) -> str:
     out, err = capsys.readouterr()
     return hashlib.sha256(out.encode() + b"\0" + err.encode()).hexdigest()
+

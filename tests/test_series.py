@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qeuler.algebra import QPoly, QRatFun
+from qeuler.algebra import QPoly
+from qeuler.ratfun import QRatFun
 from qeuler.series import TruncSeries, compose_all, egf_polynomials, egf_series
 
 

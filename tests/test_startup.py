@@ -6,6 +6,7 @@ process, which starts with an empty ``sys.modules``, and record the
 modules loaded by the time it returns.
 """
 
+import functools
 import importlib
 import json
 import os
@@ -19,8 +20,6 @@ import pytest
 import qeuler
 from qeuler import cli, convexity
 
-_ROUTES = {"series", "jacobi", "riordan", "convexity"}
-
 _CHILD = """
 import contextlib, io, json, sys
 import qeuler
@@ -32,7 +31,8 @@ print(json.dumps(list(sys.modules)))
 """
 
 
-def _modules(*argv: str) -> set[str]:
+@functools.cache
+def _modules(*argv: str) -> frozenset[str]:
     """The modules a fresh interpreter holds after running ARGV."""
     src = str(Path(qeuler.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -43,7 +43,7 @@ def _modules(*argv: str) -> set[str]:
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return frozenset(json.loads(proc.stdout))
 
 
 def _loaded(*argv: str) -> set[str]:
@@ -57,8 +57,10 @@ def test_import_qeuler_loads_no_submodule():
 
 @pytest.mark.parametrize("route", ["recurrence", "enum"])
 def test_integer_table_routes_load_no_route_module(route):
+    # the group walks are their own module, which only the enum route loads
     loaded = _loaded("table", "--family", "TypeB", "--nmax", "4", "--route", route)
-    assert loaded == {"algebra", "families", "cli"}
+    walks = {"walks"} if route == "enum" else set()
+    assert loaded == {"algebra", "families", "cli"} | walks
 
 
 def test_egf_table_adds_only_series():
@@ -85,37 +87,55 @@ def test_check_loads_jacobi_and_convexity(mode):
 
 
 @pytest.fixture(scope="module")
-def bare_modules() -> set[str]:
+def bare_modules() -> frozenset[str]:
     return _modules()
 
 
 _FAMILY = ("--family", "TypeB")
 _TABLE_ROUTES = ("egf", "cfrac", "enum", "recurrence")
+_COMMANDS = [
+    *[("table", *_FAMILY, "--nmax", "4", "--route", r) for r in _TABLE_ROUTES],
+    ("table", "--family", "General", "--a", "1", "--d", "3", "--nmax", "4", "--route", "enum"),
+    ("cfrac", *_FAMILY, "--depth", "3"),
+    ("prodmat", *_FAMILY, "--order", "4"),
+    ("check", *_FAMILY, "--mode", "qlcx", "--nmax", "4"),
+    ("check", *_FAMILY, "--mode", "strong", "--nmax", "4"),
+    ("check", *_FAMILY, "--mode", "zhu", "--imax", "2"),
+    ("conjecture", "--triangle", "A", "--seq", "catalan", "--nmax", "4"),
+    ("invert-moments", *_FAMILY, "--nmax", "6"),
+    ("selftest", "--nmax", "2"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        *[("table", *_FAMILY, "--nmax", "4", "--route", r) for r in _TABLE_ROUTES],
-        ("cfrac", *_FAMILY, "--depth", "3"),
-        ("prodmat", *_FAMILY, "--order", "4"),
-        ("check", *_FAMILY, "--mode", "qlcx", "--nmax", "4"),
-        ("check", *_FAMILY, "--mode", "strong", "--nmax", "4"),
-        ("check", *_FAMILY, "--mode", "zhu", "--imax", "2"),
-        ("conjecture", "--triangle", "A", "--seq", "catalan", "--nmax", "4"),
-        ("invert-moments", *_FAMILY, "--nmax", "6"),
-        ("selftest", "--nmax", "2"),
-    ],
-    ids=" ".join,
-)
+@pytest.mark.parametrize("argv", _COMMANDS, ids=" ".join)
 def test_no_command_loads_the_dataclass_machinery(bare_modules, argv):
     # library records are named tuples; dataclasses would also pull in inspect.
     # Only what the command adds counts: a site hook may load either at start.
     assert (_modules(*argv) - bare_modules) & {"dataclasses", "inspect"} == set()
 
 
+@pytest.mark.parametrize("argv", _COMMANDS, ids=" ".join)
+def test_only_group_walks_load_walks_and_no_command_loads_ratfun(argv):
+    # General has no group walk: its enum rows are the recurrence's
+    loaded = _loaded(*argv)
+    walks = argv[0] == "selftest" or (argv[-1] == "enum" and "General" not in argv)
+    assert ("walks" in loaded) == walks
+    assert "ratfun" not in loaded
+
+
+def test_algebra_forwards_the_names_that_moved_to_ratfun():
+    # the benchmark's tracer looks QRatFun up as algebra.QRatFun
+    from qeuler import algebra, ratfun
+
+    for name in ("QRatFun", "_poly_exact_div", "RF_ZERO", "RF_ONE", "RF_Q"):
+        assert getattr(algebra, name) is getattr(ratfun, name)
+    assert "poly_gcd" in vars(algebra)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        algebra.no_such_name  # noqa: B018
+
+
 def test_every_public_name_is_its_home_module_object():
-    homes = [importlib.import_module(f"qeuler.{m}") for m in ("algebra", "families", *_ROUTES)]
+    homes = [importlib.import_module(f"qeuler.{m}") for m in qeuler._EXPORTS]
     for name in qeuler.__all__:
         if name == "__version__":
             continue
