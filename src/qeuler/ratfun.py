@@ -1,11 +1,11 @@
 """Rational functions of q: ``QRatFun``, a quotient of two ``QPoly``.
 
 No route makes a ``QRatFun``, and no command imports this module.  It
-is kept, unchanged, for library users, and because the benchmark's
-tracer looks ``QRatFun`` up as ``algebra.QRatFun``: ``algebra``
-forwards ``QRatFun``, ``_poly_exact_div`` and the ``RF_*`` constants
-here on first access (PEP 562), so that lookup still resolves without
-every command compiling this module.
+is kept for library users, and because the benchmark's tracer looks
+``QRatFun`` up as ``algebra.QRatFun``: ``algebra`` forwards
+``QRatFun``, ``_poly_exact_div`` and the ``RF_*`` constants here on
+first access (PEP 562), so that lookup still resolves without every
+command compiling this module.
 
 A ``QRatFun`` is in canonical form: the denominator is monic, the
 fraction is fully reduced by ``algebra.poly_gcd``, and a zero numerator

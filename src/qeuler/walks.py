@@ -8,11 +8,12 @@ Distributions are cached per n, so evaluating at several t values costs
 one walk.
 
 The two descent walks count one column at a time.  The n! orderings of
-a set of letters are the rows of ``permutations(letters)``; its
-transpose ``zip(*permutations(letters))`` holds position i of every
-element in column i, and ``map(gt, left, right)`` marks, for every
-element at once, whether positions i and i+1 form a descent.  The
-signed walk does this once per sign set, 2^n·n! elements in all.
+n letters are the rows of ``permutations(range(n))``; its transpose
+``zip(*permutations(range(n)))`` holds position i of every element in
+column i, and ``map(gt, left, right)`` marks, for every element at once,
+whether positions i and i+1 form a descent.  The signed walk does this
+once per sign set, 2^n·n! elements in all: ``bytes.translate`` puts each
+element's signed letters in place of its indices.
 
 Only ``table --route enum`` (for every family but General) and
 ``selftest`` import this module: ``families.enumeration_polynomial``
@@ -21,13 +22,12 @@ and the selftest handler import it when they run.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import pairwise, permutations, product, repeat
+from itertools import pairwise, permutations, product
 from math import factorial
-from operator import add, gt
-from typing import Iterable, Sequence
+from operator import gt
+from typing import Sequence
 
 from .algebra import Q, QPoly, Rat, as_fraction
 
@@ -45,22 +45,29 @@ DESCENT_CAP = 8
 SIGNED_CAP = 7
 
 
-def _descent_tally(columns: Sequence[Iterable[int]], size: int) -> Counter[int]:
-    """How many of ``size`` words have each number of descents.
+def _descent_tally(columns: Sequence[bytes]) -> bytes:
+    """The number of descents of every word, one byte per word.
 
     Word k is ``(columns[0][k], columns[1][k], ...)``, and it has a
-    descent at i when ``columns[i][k] > columns[i + 1][k]``.
+    descent at i when ``columns[i][k] > columns[i + 1][k]``.  Each
+    comparison column is a ``bytes`` of 0s and 1s.  Read as little-endian
+    integers, their sum adds the columns byte by byte, with no carry
+    between bytes, since no word here has 256 descents.
     """
-    des = [0] * size
-    for left, right in pairwise(columns):
-        des = list(map(add, des, map(gt, left, right)))
-    return Counter(des)
+    marks = (bytes(map(gt, left, right)) for left, right in pairwise(columns))
+    total = sum(int.from_bytes(m, "little") for m in marks)
+    return total.to_bytes(len(columns[0]), "little")
+
+
+def _index_columns(n: int) -> list[bytes]:
+    """Column i holds position i of every ordering of 0 .. n-1, in ``permutations`` order."""
+    return [bytes(column) for column in zip(*permutations(range(n)))]
 
 
 @lru_cache(maxsize=None)
 def _descent_counts(n: int) -> tuple[int, ...]:
-    tally = _descent_tally(list(zip(*permutations(range(1, n + 1)))), factorial(n))
-    return tuple(tally[des] for des in range(n))
+    des = _descent_tally(_index_columns(n))
+    return tuple(map(des.count, range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -85,15 +92,19 @@ def _exc_cycle_counts(n: int) -> tuple[tuple[int, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _signed_descent_counts(n: int) -> tuple[tuple[int, int, int], ...]:
-    # descents of w(0) w(1) .. w(n) with the sentinel w(0) = 0: the sign set
-    # fixes the letters, and so neg, and their n! orderings are its elements
-    counts: Counter[tuple[int, int]] = Counter()
+    # descents of w(0) w(1) .. w(n) with the sentinel w(0) = 0.  The sign set
+    # fixes the letters, and so neg; their n! orderings are its elements.  A
+    # letter v is stored as the byte v + n, which keeps the order of letters.
+    columns = _index_columns(n)
+    sentinel = bytes([n]) * factorial(n)
+    counts: dict[tuple[int, int], int] = {}
     for signs in product((1, -1), repeat=n):
-        letters = [s * b for s, b in zip(signs, range(1, n + 1))]
+        letters = bytes(n + s * b for s, b in zip(signs, range(1, n + 1))).ljust(256, b"\0")
+        des = _descent_tally([sentinel, *(c.translate(letters) for c in columns)])
         neg = signs.count(-1)
-        tally = _descent_tally([repeat(0), *zip(*permutations(letters))], factorial(n))
-        for des, m in tally.items():
-            counts[des, neg] += m
+        for d in range(n + 1):
+            if m := des.count(d):
+                counts[d, neg] = counts.get((d, neg), 0) + m
     return tuple(sorted((d, g, m) for (d, g), m in counts.items()))
 
 
