@@ -10,14 +10,15 @@ one walk.
 The two descent walks count one column at a time.  The n! orderings of
 n letters are the rows of ``permutations(range(n))``; its transpose
 ``zip(*permutations(range(n)))`` holds position i of every element in
-column i, and ``map(gt, left, right)`` marks, for every element at once,
-whether positions i and i+1 form a descent.  The signed walk does this
-once per sign set, 2^n·n! elements in all: ``bytes.translate`` puts each
-element's signed letters in place of its indices.
+column i, and one broadword subtraction marks, for every element at
+once, whether positions i and i+1 form a descent (``_descent_tally``).
+The signed walk does this once per sign set, 2^n·n! elements in all:
+``bytes.translate`` puts each element's signed letters in place of its
+indices.
 
 Only ``table --route enum`` (for every family but General) and
 ``selftest`` import this module: ``families.enumeration_polynomial``
-and the selftest handler import it when they run.
+and the selftest command import it when they run.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise, permutations, product
 from math import factorial
-from operator import gt
 from typing import Sequence
 
 from .algebra import Q, QPoly, Rat, as_fraction
@@ -49,14 +49,23 @@ def _descent_tally(columns: Sequence[bytes]) -> bytes:
     """The number of descents of every word, one byte per word.
 
     Word k is ``(columns[0][k], columns[1][k], ...)``, and it has a
-    descent at i when ``columns[i][k] > columns[i + 1][k]``.  Each
-    comparison column is a ``bytes`` of 0s and 1s.  Read as little-endian
-    integers, their sum adds the columns byte by byte, with no carry
-    between bytes, since no word here has 256 descents.
+    descent at i when ``columns[i][k] > columns[i + 1][k]``.  Each column
+    is read as a little-endian integer, and every pair is compared at
+    once by broadword arithmetic (Knuth, TAOCP 4A, 7.1.3): for letters
+    below 128, byte k of ``(L | H) - (R + ONES)`` has its high bit set
+    exactly when L_k > R_k, where H holds 0x80 and ONES 0x01 in every
+    byte, and no borrow crosses a byte.  The sum of those high bits adds
+    the comparisons byte by byte, with no carry between bytes, since no
+    word here has 256 descents.  A letter of 128 or more is refused.
     """
-    marks = (bytes(map(gt, left, right)) for left, right in pairwise(columns))
-    total = sum(int.from_bytes(m, "little") for m in marks)
-    return total.to_bytes(len(columns[0]), "little")
+    if not all(map(bytes.isascii, columns)):
+        raise ValueError("the descent tally compares letters below 128 only")
+    size = len(columns[0])
+    high = int.from_bytes(b"\x80" * size, "little")
+    ones = high >> 7
+    words = [int.from_bytes(c, "little") for c in columns]
+    total = sum(((left | high) - (right + ones)) & high for left, right in pairwise(words))
+    return (total >> 7).to_bytes(size, "little")
 
 
 def _index_columns(n: int) -> list[bytes]:

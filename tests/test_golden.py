@@ -12,6 +12,7 @@ refused.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -105,6 +106,53 @@ FILE_GOLDEN = [
     (("conjecture", "--triangle", "A", "--seq", "x.json", "--nmax", "4"), 0,
      "b1533c0f3e883d6e1a8e27d30c10ad29a1ff492583f690c67e6bccf4da938e9f"),
 ]
+
+
+_TABLE = ("table", *_TYPE_B, "--nmax", "3", "--route", "egf")
+
+#: Usage and help bytes at ``COLUMNS=80``: argparse's own text, so these pin
+#: the parser the CLI builds.  Recorded on Python 3.10.13, 3.11.7 and 3.12.1,
+#: which print the same bytes; 3.13 words and wraps them differently.
+USAGE_GOLDEN = [
+    ((), 2, "80df944cfcb5eb9b6ae56054361637c5e7f019b8fd26ddee4cc37e86d8144bf8"),
+    (("bogus",), 2, "ca0c6d5df7994d25f5e17d8b588ee0a84f1f6ba24170210284d3e71fe711db11"),
+    (("--help",), 0, "46877b56b21eb5e4a8b5209e169735410e38d3fec81ce2635559c248a3b349e3"),
+    (("table", "--help"), 0,
+     "059364d3005dbfe1c2d46d084d2be6def057b1d82f8691479a2381fa25611239"),
+    (("cfrac", "--help"), 0,
+     "2690bf38147478f248b2bec4c3749e751521ebb820127958e1b605c072ceefdc"),
+    (("prodmat", "--help"), 0,
+     "0d44c8cab701f1aae74099144936520fd083b42ff83d539cecf70a654c870f96"),
+    (("check", "--help"), 0,
+     "448f398bc76b7a7c1a13f45b053663896f8c092fc193993f5177ed0fcacba654"),
+    (("conjecture", "--help"), 0,
+     "b1d513d0244e8611e44b04c50e854414dc7c0895a2004c0db176cdf29c896941"),
+    (("invert-moments", "--help"), 0,
+     "29e1c59777108bca72e30f35ae07ed23cf0d8012794f44d6bdb649bc865185e9"),
+    (("selftest", "--help"), 0,
+     "4a68f910a81439ecda05ea11ce8a4049e9d796208cec0fdcfbb289be30ff0e33"),
+    # an option before the command: the main parser takes "text" for the command
+    (("--format", "text", *_TABLE), 2,
+     "afcc82d677674cd31678814a415e3d49e8b2a0d4ee03542a3b3b7d5810f00c44"),
+    # a valid command, then an argument that only the main parser can refuse
+    ((*_TABLE, "extra"), 2, "a0ef7cd955fbf1a6ad58f6b9743262eedc206237053c73b000f3b553f7d5843d"),
+    (("table", "--family", "Nope", "--nmax", "3", "--route", "egf"), 2,
+     "b2cca33dbfe0d5fd1524a6d0fb9c09ecd72c498bc277110a16adf9e6759594cf"),
+]
+
+
+@pytest.mark.skipif(
+    not (3, 10) <= sys.version_info[:2] <= (3, 12), reason="argparse wording of 3.10-3.12 only"
+)
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    USAGE_GOLDEN,
+    ids=[" ".join(argv) or "(none)" for argv, _, _ in USAGE_GOLDEN],
+)
+def test_usage_and_help_bytes_are_golden(argv, code, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(list(argv)) == code
+    assert _digest(capsys) == digest
 
 
 @pytest.mark.parametrize(

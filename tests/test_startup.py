@@ -1,9 +1,10 @@
 """Start-up: ``import qeuler`` is lazy and each command loads only its routes.
 
 Every CLI command is one fresh interpreter, so the modules it imports
-are part of its cost.  The module checks run each command in a child
-process, which starts with an empty ``sys.modules``, and record the
-modules loaded by the time it returns.
+are part of its cost.  Each command is its own module (``cmd_table``
+etc.), which only that command loads.  The module checks run each
+command in a child process, which starts with an empty ``sys.modules``,
+and record the modules loaded by the time it returns.
 """
 
 import functools
@@ -60,12 +61,12 @@ def test_integer_table_routes_load_no_route_module(route):
     # the group walks are their own module, which only the enum route loads
     loaded = _loaded("table", "--family", "TypeB", "--nmax", "4", "--route", route)
     walks = {"walks"} if route == "enum" else set()
-    assert loaded == {"algebra", "families", "cli"} | walks
+    assert loaded == {"algebra", "families", "cli", "cmd_table"} | walks
 
 
 def test_egf_table_adds_only_series():
     loaded = _loaded("table", "--family", "TypeB", "--nmax", "4", "--route", "egf")
-    assert loaded == {"algebra", "families", "cli", "series"}
+    assert loaded == {"algebra", "families", "cli", "cmd_table", "series"}
 
 
 def test_prodmat_loads_neither_jacobi_nor_convexity():
@@ -76,14 +77,14 @@ def test_prodmat_loads_neither_jacobi_nor_convexity():
 
 def test_conjecture_loads_convexity_but_not_jacobi():
     loaded = _loaded("conjecture", "--triangle", "A", "--seq", "catalan", "--nmax", "4")
-    assert loaded == {"algebra", "families", "cli", "convexity"}
+    assert loaded == {"algebra", "families", "cli", "cmd_conjecture", "convexity"}
 
 
 @pytest.mark.parametrize("mode", ["qlcx", "strong", "zhu"])
 def test_check_loads_jacobi_and_convexity(mode):
     size = ("--imax", "2") if mode == "zhu" else ("--nmax", "4")
     loaded = _loaded("check", "--family", "TypeB", "--mode", mode, *size)
-    assert loaded == {"algebra", "families", "cli", "jacobi", "convexity"}
+    assert loaded == {"algebra", "families", "cli", "cmd_check", "jacobi", "convexity"}
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,13 @@ def test_only_group_walks_load_walks_and_no_command_loads_ratfun(argv):
     walks = argv[0] == "selftest" or (argv[-1] == "enum" and "General" not in argv)
     assert ("walks" in loaded) == walks
     assert "ratfun" not in loaded
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=" ".join)
+def test_no_command_loads_another_commands_module(argv):
+    # selftest compares the table routes, so it also runs the table command's module
+    own = {cli._COMMANDS[argv[0]][0]} | ({"cmd_table"} if argv[0] == "selftest" else set())
+    assert {m for m in _loaded(*argv) if m.startswith("cmd_")} == own
 
 
 def test_algebra_forwards_the_names_that_moved_to_ratfun():

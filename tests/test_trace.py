@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qeuler
 
 _BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -27,11 +29,11 @@ def _layers():
     return module
 
 
-def _trace(mode: str) -> dict:
+def _trace(mode: str, command=_COMMAND) -> dict:
     src = str(Path(qeuler.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, str(_BENCH / "trace_child.py"), mode, *_COMMAND],
+        [sys.executable, str(_BENCH / "trace_child.py"), mode, *command],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -54,3 +56,19 @@ def test_profile_mode_counts_the_calls():
     record = _trace("profile")
     assert record["counts"]["algebra.QPoly.mul"] > 0
     assert record["counts"]["series.egf_polynomials"] == 1
+
+
+@pytest.mark.parametrize(
+    "route,span",
+    [
+        ("recurrence", "families.recurrence_polynomial"),
+        ("enum", "families.enumeration_polynomial"),
+        ("egf", "series.egf_polynomials"),
+    ],
+)
+def test_spans_see_the_cli_and_the_table_route(route, span):
+    # the spans rebind library functions in their modules, so a command must
+    # reach each route through its module's attribute for the span to count it
+    record = _trace("spans", (*_COMMAND[:-1], route))
+    assert record["spans"]["cli.main"][0] == 1
+    assert record["spans"][span][0] == 1
