@@ -43,7 +43,8 @@ from .families import Family, FamilySpec
 __all__ = ["main"]
 
 #: Every command, in help order: the ``qeuler`` module that declares its
-#: arguments (``add_arguments``) and runs it (``run``), and its help line.
+#: arguments after ``--format`` and ``--out`` (``add_arguments``) and runs it
+#: (``run``), and its help line.
 _COMMANDS = {
     "table": ("cmd_table", "polynomial rows by one route"),
     "cfrac": ("cmd_cfrac", "continued-fraction weights"),
@@ -69,25 +70,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
-    parser.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-
-
 def _add_family_flags(
-    parser: argparse.ArgumentParser, required: bool = True, text: str = "polynomial family"
+    parser: argparse.ArgumentParser, required: bool = True, what: str = "polynomial family"
 ) -> None:
     """``--family`` and the parameters ``_family`` reads."""
     parser.add_argument(
-        "--family", required=required, choices=[f.value for f in Family], help=text
+        "--family", required=required, choices=[f.value for f in Family], help=what
     )
     # argparse takes "-3/2" for an option, so a negative value needs "--t=-3/2"
     for name in ("t", "a", "d"):
         used_by = ", ".join(f.value for f in Family if name in families._FAMILIES[f][0])
-        line = f"{name} parameter ({used_by}); write a negative one as --{name}=-3/2"
-        parser.add_argument(f"--{name}", type=_rational, help=line)
+        text = f"{name} parameter ({used_by}); write a negative one as --{name}=-3/2"
+        parser.add_argument(f"--{name}", type=_rational, help=text)
 
 
 def _command(name: str):
@@ -110,7 +104,10 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         names = list(_COMMANDS)
         sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        _command(name).add_arguments(sub.add_parser(name, help=_COMMANDS[name][1]))
+        p = sub.add_parser(name, help=_COMMANDS[name][1])
+        p.add_argument("--format", choices=("json", "text"), default="json", help="output format")
+        p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+        _command(name).add_arguments(p)
     return parser
 
 

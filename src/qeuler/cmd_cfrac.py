@@ -6,7 +6,6 @@ from . import cli
 
 
 def add_arguments(parser) -> None:
-    cli._add_output_flags(parser)
     cli._add_family_flags(parser)
     parser.add_argument("--depth", type=cli._positive_int, default=8, help="number of s weights")
 

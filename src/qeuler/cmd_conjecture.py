@@ -13,7 +13,6 @@ _BUILTIN_SEQUENCE_NAMES = ("catalan", "factorial", "motzkin", "ones", "powers2")
 
 
 def add_arguments(parser) -> None:
-    cli._add_output_flags(parser)
     parser.add_argument("--triangle", required=True, choices=("A", "B"))
     parser.add_argument(
         "--seq",

@@ -7,8 +7,7 @@ from .algebra import QPoly
 
 
 def add_arguments(parser) -> None:
-    cli._add_output_flags(parser)
-    cli._add_family_flags(parser, required=False, text="take moments from a family")
+    cli._add_family_flags(parser, required=False, what="take moments from a family")
     parser.add_argument(
         "--nmax", type=cli._positive_int, help="number of family moments to generate"
     )

@@ -16,7 +16,6 @@ _GENERAL_GRID = ((1, 1), (1, 2), (1, 3), (2, 5), (0, 1))
 
 
 def add_arguments(parser) -> None:
-    cli._add_output_flags(parser)
     parser.add_argument("--nmax", type=cli._positive_int, help="clamp the per-family caps")
 
 

@@ -10,7 +10,6 @@ from .families import FamilySpec
 
 
 def add_arguments(parser) -> None:
-    cli._add_output_flags(parser)
     cli._add_family_flags(parser)
     parser.add_argument(
         "--nmax", type=cli._positive_int, required=True, help="number of rows (n = 0..nmax-1)"
