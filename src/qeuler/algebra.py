@@ -22,8 +22,15 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
   coefficient lists.  ``QPoly.__add__`` and ``QPoly.__mul__`` run them,
   and so does the integer path sum of ``jacobi``; they are the package's
   only polynomial sum and product loops.
+* ``_common_denominator`` -- rationals as integer numerators over the lcm
+  of their denominators: the one conversion into that form, for ``QPoly``
+  and the integer routes of ``families``, ``jacobi`` and ``convexity``.
+* ``_first_drop`` -- the ``f >=_q g`` test, read off the numerators.
 * ``poly_gcd`` -- the monic greatest common divisor over Q.  Only
   ``ratfun.QRatFun`` calls it.
+
+Only this module reads a ``QPoly``'s numerators and denominator, but for
+the integer path sum ``jacobi.moments_by_motzkin_paths``.
 
 ``QRatFun``, a quotient of two ``QPoly``, lives in ``ratfun``, which no
 command imports.  The module ``__getattr__`` below still answers
@@ -42,7 +49,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, lt
 
 __all__ = [
     "Rat",
@@ -117,8 +124,8 @@ class QPoly:
 
     def __init__(self, *coeffs: Rat | str):
         cs = [c if type(c) is int else as_fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        _set_parts(self, [c.numerator * (den // c.denominator) for c in cs], den)
+        den, num = _common_denominator(cs)
+        _set_parts(self, num, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QPoly is immutable")
@@ -151,12 +158,6 @@ class QPoly:
     @property
     def constant(self) -> Fraction:
         return Fraction(self._num[0], self._den) if self._num else Fraction(0)
-
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of ``q^k``; zero beyond the stored degree."""
-        if k < 0:
-            raise ValueError("negative power")
-        return Fraction(self._num[k], self._den) if k < len(self._num) else Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -262,21 +263,14 @@ class QPoly:
         """Formal d/dq."""
         return _from_parts([k * c for k, c in enumerate(self._num) if k], self._den)
 
-    def is_nonneg(self) -> bool:
-        """True iff every coefficient is >= 0 (written ``f >=_q 0``)."""
-        # the denominator is positive, so the numerators carry the signs
-        return all(c >= 0 for c in self._num)
-
     def monic(self) -> "QPoly":
         return self / self.lead
 
-    def divide_by_q(self, power: int = 1) -> "QPoly":
-        """Exact division by ``q**power``; raises unless divisible."""
-        if power < 0:
-            raise ValueError("negative power")
-        if any(self._num[:power]):
-            raise ValueError(f"{self!r} is not divisible by q^{power}")
-        return _from_parts(list(self._num[power:]), self._den) if power else self
+    def divide_by_q(self) -> "QPoly":
+        """Exact division by ``q``; raises unless divisible."""
+        if any(self._num[:1]):
+            raise ValueError(f"{self!r} is not divisible by q")
+        return _from_parts(list(self._num[1:]), self._den)
 
     # -- serialization --------------------------------------------------
 
@@ -356,6 +350,36 @@ def _from_parts(num: list[int], den: int) -> QPoly:
     poly = object.__new__(QPoly)
     _set_parts(poly, num, den)
     return poly
+
+
+def _common_denominator(values) -> tuple[int, list[int]]:
+    """The lcm ``den`` of the denominators of ``values`` and each value times ``den``.
+
+    ``values`` holds ints and ``Fraction``s, so ``Fraction(nums[i], den)``
+    is ``values[i]``, and gcd(den, *nums) is 1.
+    """
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _first_drop(f: QPoly, g: QPoly) -> int | None:
+    """The first power of q whose coefficient in f - g is negative, or None.
+
+    f - g is never built: with both denominators positive, the
+    coefficient of q^k is negative exactly when f_k den(g) < g_k den(f)
+    for the numerators f_k and g_k.  So ``f >=_q g`` is
+    ``_first_drop(f, g) is None``.
+    """
+    fn, gn = f._num, g._num
+    if f._den != g._den and fn and gn:
+        fn, gn = [c * g._den for c in fn], [c * f._den for c in gn]
+    pad = len(gn) - len(fn)
+    if pad > 0:
+        fn += (0,) * pad
+    elif pad:
+        gn += (0,) * -pad
+    drops = list(map(lt, fn, gn))
+    return drops.index(True) if True in drops else None
 
 
 ZERO = QPoly()

@@ -33,11 +33,10 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
-from operator import lt, mul
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .algebra import ZERO, QPoly, Rat, as_fraction, as_qpoly
+from .algebra import ZERO, QPoly, Rat, _common_denominator, _first_drop, as_fraction, as_qpoly
 from .families import eulerian_rows
 
 if TYPE_CHECKING:
@@ -79,26 +78,6 @@ class CriterionReport(namedtuple("CriterionReport", ConvexityReport._fields + (
     """
 
     __slots__ = ()
-
-
-def _first_drop(f: QPoly, g: QPoly) -> int | None:
-    """The first power of q whose coefficient in f - g is negative, or None.
-
-    f - g is never built: with both denominators positive, the
-    coefficient of q^k is negative exactly when f_k den(g) < g_k den(f)
-    for the numerators f_k and g_k.  So ``f >=_q g`` is
-    ``_first_drop(f, g) is None``.
-    """
-    fn, gn = f._num, g._num
-    if f._den != g._den and fn and gn:
-        fn, gn = [c * g._den for c in fn], [c * f._den for c in gn]
-    pad = len(gn) - len(fn)
-    if pad > 0:
-        fn += (0,) * pad
-    elif pad:
-        gn += (0,) * -pad
-    drops = list(map(lt, fn, gn))
-    return drops.index(True) if True in drops else None
 
 
 def check_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
@@ -258,8 +237,7 @@ def transform_log_convexity_experiment(
     values = values[: n_max + 1]
     # over one common denominator D > 0, x_k = X_k / D and z_n = Z_n / D,
     # so every sign test and comparison below runs on the integers X, Z
-    den = lcm(*(v.denominator for v in values))
-    xs_int = [v.numerator * (den // v.denominator) for v in values]
+    den, xs_int = _common_denominator(values)
     for k, v in enumerate(xs_int):
         if v < 0:
             raise ValueError(f"input is not nonnegative at index {k}")

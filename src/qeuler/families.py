@@ -23,10 +23,9 @@ from __future__ import annotations
 import enum
 from collections import deque, namedtuple
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterator
 
-from .algebra import ONE, Q, QPoly, Rat, as_fraction
+from .algebra import ONE, Q, QPoly, Rat, _common_denominator, as_fraction
 
 __all__ = [
     "Family",
@@ -166,9 +165,7 @@ def recurrence_polynomial(a: Rat | str, b: Rat | str, d: Rat | str, count: int) 
     common denominator D, and row n is divided once by D^n.
     """
     fa, fb, fd = (as_fraction(v) for v in (a, b, d))
-    forms = (fa * fb, fb * fd, fd)
-    den = lcm(*(f.denominator for f in forms))
-    nums = (f.numerator * (den // f.denominator) for f in forms)
+    den, nums = _common_denominator((fa * fb, fb * fd, fd))
     rows = zip(range(count), eulerian_rows(*nums, count - 1))
     return [QPoly(*row) / den**n for n, row in rows]
 

@@ -49,6 +49,7 @@ from .algebra import (
     QPoly,
     ZERO,
     _add_nums,
+    _common_denominator,
     _from_parts,
     _mul_nums,
     as_fraction,
@@ -107,9 +108,7 @@ def jfraction_from_params(a, b, d, depth: int) -> JFraction:
     if depth < 1:
         raise ValueError("depth must be positive")
     ab = fa * fb
-    parts = (fd, ab, fb * fd - ab)
-    den = lcm(*(x.denominator for x in parts))
-    step, s0, s1 = (x.numerator * (den // x.denominator) for x in parts)
+    den, (step, s0, s1) = _common_denominator((fd, ab, fb * fd - ab))
     s = tuple(_from_parts([step * i + s0, step * i + s1], den) for i in range(depth))
     p, r, u, v = fd.numerator, fd.denominator, fb.numerator, fb.denominator
     t = tuple(
@@ -276,9 +275,10 @@ def jfraction_from_moments(moments: Sequence, depth: int | None = None) -> JFrac
     weights are polynomials; a remainder raises ``ValueError`` naming
     the first nonpolynomial weight.  The cost is O(depth^2) polynomial
     products and 2*depth - 1 divisions, with no rational functions and no
-    gcd.  Entries pass through ``as_qpoly``; an empty sequence is refused,
-    and mu_0 = 1 is enforced because the leading "1/(1 - ...)" of the
-    fraction cannot carry a scale factor.
+    gcd.  Entries pass through ``as_qpoly``; an empty sequence, or one
+    moment with no depth given, is refused, and mu_0 = 1 is enforced
+    because the leading "1/(1 - ...)" of the fraction cannot carry a
+    scale factor.
     """
     mu = [as_qpoly(v) for v in moments]
     if not mu:
@@ -287,6 +287,8 @@ def jfraction_from_moments(moments: Sequence, depth: int | None = None) -> JFrac
         raise ValueError("moment inversion requires mu_0 = 1")
     max_depth = len(mu) // 2
     if depth is None:
+        if not max_depth:
+            raise ValueError(f"moment inversion needs at least 2 moments, have {len(mu)}")
         depth = max_depth
     if depth < 1:
         raise ValueError("depth must be positive")

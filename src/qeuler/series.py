@@ -62,15 +62,6 @@ class TruncSeries:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    def coefficient(self, n: int) -> QPoly:
-        if not 0 <= n < self.order:
-            raise IndexError(f"coefficient {n} outside truncation window {self.order}")
-        return self.coeffs[n]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncSeries):
             return self.order == other.order and self.coeffs == other.coeffs

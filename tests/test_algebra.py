@@ -1,13 +1,19 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import ast
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qeuler import algebra
 from qeuler.algebra import (
     QPoly,
     ZERO,
+    _common_denominator,
+    _first_drop,
     as_fraction,
     as_qpoly,
     parse_rational,
@@ -86,8 +92,7 @@ def test_qpoly_accessors():
     p = QPoly(5, 0, Fraction(1, 2))
     assert p.constant == 5
     assert p.lead == Fraction(1, 2)
-    assert p.coefficient(1) == 0
-    assert p.coefficient(99) == 0
+    assert p.coeffs == (5, 0, Fraction(1, 2))
     assert QPoly(2, 4).monic() == QPoly(Fraction(1, 2), 1)
     with pytest.raises(ValueError):
         QPoly().lead
@@ -137,9 +142,9 @@ def test_qpoly_evaluation_and_composition():
 
 def test_qpoly_derivative_and_nonnegativity():
     assert QPoly(7, 3, 0, 5).derivative() == QPoly(3, 0, 15)
-    assert QPoly(0, 1, 2).is_nonneg()
-    assert not QPoly(1, -1).is_nonneg()
-    assert QPoly().is_nonneg()
+    assert _first_drop(QPoly(0, 1, 2), ZERO) is None
+    assert _first_drop(QPoly(1, -1), ZERO) == 1
+    assert _first_drop(QPoly(), ZERO) is None
 
 
 def test_qpoly_ring_axioms_on_random_inputs():
@@ -164,6 +169,51 @@ def test_qpoly_canonical_form_hand_cases():
     assert QPoly(Fraction(3, 4), Fraction(9, 4)) / Fraction(-3, 4) == QPoly(-1, -3)
     assert QPoly(0, 0, Fraction(1, 2)).derivative() == QPoly(0, 1)
     assert QPoly(0, Fraction(2, 3)).divide_by_q() == Fraction(2, 3)
+
+
+def test_common_denominator_is_the_lcm_form():
+    assert _common_denominator([Fraction(1, 2), Fraction(-1, 3), 5]) == (6, [3, -2, 30])
+    assert _common_denominator([-4]) == (1, [-4])
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    value = st.one_of(
+        st.integers(min_value=-50, max_value=50),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    )
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.lists(value, min_size=1, max_size=6))
+    def check(values):
+        den, nums = _common_denominator(values)
+        assert [Fraction(n, den) for n in nums] == values
+        assert den == math.lcm(*(Fraction(v).denominator for v in values))
+        assert math.gcd(den, *nums) == 1
+
+    check()
+
+
+def _integer_form_readers(tree: ast.AST, scope: str, found: set) -> set:
+    """(scope, attribute) for each ``._num`` or ``._den`` read under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr in ("_num", "_den"):
+            found.add((scope, node.attr))
+        _integer_form_readers(node, inner, found)
+    return found
+
+
+def test_only_algebra_reads_the_integer_form():
+    # the integer path sum of jacobi is the one route outside algebra that
+    # works on the numerators directly
+    package = Path(algebra.__file__).parent
+    found: set = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name != "algebra.py":
+            _integer_form_readers(ast.parse(path.read_text()), path.stem, found)
+    path_sum = "jacobi.moments_by_motzkin_paths"
+    assert found == {(path_sum, "_num"), (path_sum, "_den")}
 
 
 # A plain list of Fractions, trailing zeros stripped, is the reference ring.

@@ -412,6 +412,14 @@ def test_invert_moments_refuses_empty_file(capsys, tmp_path, data):
     assert (code, out, err) == (2, "", '{"error": "empty moment sequence"}\n')
 
 
+def test_invert_moments_refuses_one_moment_by_count(capsys, tmp_path):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(["1"]))
+    refusal = (2, "", '{"error": "moment inversion needs at least 2 moments, have 1"}\n')
+    assert run_cli(capsys, "invert-moments", "--file", str(path)) == refusal
+    assert run_cli(capsys, "invert-moments", "--family", "TypeB", "--nmax", "1") == refusal
+
+
 
 @pytest.mark.parametrize(
     "argv,what",

@@ -7,12 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from qeuler.algebra import QPoly
+from qeuler.algebra import QPoly, _first_drop
 from qeuler.cli import _json_value
 from qeuler.convexity import (
     BUILTIN_SEQUENCES,
     Triangle,
-    _first_drop,
     builtin_sequence,
     check_q_log_convex,
     check_strong_q_log_convex,
@@ -229,7 +228,7 @@ def test_weight_gap_boundary_case_touches_zero():
     # a = d, b = 1/2 drives the middle bound coefficient ab^2 d - a^2 b^2
     # to zero exactly
     res = weight_gap(1, 1, Fraction(1, 2), 1)
-    assert res.reference_bound.coefficient(1) == 0
+    assert res.reference_bound.coeffs[1] == 0
     assert res.bound_is_lower
     res2 = weight_gap(0, 0, 1, 1)
     assert res2.gap.constant == 0

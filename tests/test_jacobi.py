@@ -62,6 +62,12 @@ def test_inversion_refuses_empty_moments():
             jfraction_from_moments(empty)
 
 
+def test_inversion_of_one_moment_names_the_count():
+    # with no depth given, depth is moments // 2 = 0; the refusal names the count
+    with pytest.raises(ValueError, match="needs at least 2 moments, have 1"):
+        jfraction_from_moments([1])
+
+
 # -- closed-form weights ---------------------------------------------------------
 
 
