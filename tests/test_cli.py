@@ -555,19 +555,48 @@ def test_results_past_the_int_string_digit_limit_are_printed(capsys):
     assert payload["result"]["rows"] == rows
 
 
-def test_module_entry_point():
+def run_module(*argv):
+    """``python -m qeuler ARGV`` in a child process."""
     # the child imports the qeuler under test, whether or not it is installed
     src = str(Path(jacobi.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qeuler", "table", "--family", "TypeB", "--nmax", "3",
-         "--route", "enum"],
+    return subprocess.run(
+        [sys.executable, "-m", "qeuler", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = run_module("table", "--family", "TypeB", "--nmax", "3", "--route", "enum")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["rows"][2] == ["1", "6", "1"]
+
+
+def test_module_entry_point_exits_1_on_witnesses():
+    proc = run_module("check", "--family", "General", "--a", "3", "--d", "1", "--mode", "zhu",
+                      "--imax", "5")
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)["result"]["report"]
+    assert report["verdict"] is False
+    assert [w[0] for w in report["witnesses"]] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (("frobnicate",), "invalid choice: 'frobnicate'"),
+        (("prodmat", "--family", "General", "--a", "1", "--d", "0", "--order", "3"),
+         '{"error": "d must be nonzero"}'),
+    ],
+    ids=["usage", "refused"],
+)
+def test_module_entry_point_exits_2(argv, stderr):
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr in proc.stderr
 
 
 # -- selftest ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ and record the modules loaded by the time it returns.
 """
 
 import functools
+import gc
 import importlib
 import json
 import os
@@ -32,19 +33,24 @@ print(json.dumps(list(sys.modules)))
 """
 
 
-@functools.cache
-def _modules(*argv: str) -> frozenset[str]:
-    """The modules a fresh interpreter holds after running ARGV."""
+def _child(source: str, *argv: str):
+    """The JSON that a fresh interpreter running SOURCE with ARGV prints."""
     src = str(Path(qeuler.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, *argv],
+        [sys.executable, "-c", source, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    return frozenset(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+@functools.cache
+def _modules(*argv: str) -> frozenset[str]:
+    """The modules a fresh interpreter holds after running ARGV."""
+    return frozenset(_child(_CHILD, *argv))
 
 
 def _loaded(*argv: str) -> set[str]:
@@ -85,6 +91,34 @@ def test_check_loads_jacobi_and_convexity(mode):
     size = ("--imax", "2") if mode == "zhu" else ("--nmax", "4")
     loaded = _loaded("check", "--family", "TypeB", "--mode", mode, *size)
     assert loaded == {"algebra", "families", "cli", "cmd_check", "jacobi", "convexity"}
+
+
+_ENTRY_CHILD = """
+import contextlib, gc, io, json, runpy, sys
+sys.argv[0] = "qeuler"
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("qeuler", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, gc.get_freeze_count()]))
+"""
+
+_RECURRENCE = ("table", "--family", "TypeB", "--nmax", "3", "--route", "recurrence")
+
+
+def test_module_entry_point_freezes_the_heap_before_exit():
+    # the collections at exit then walk nothing; the exit code still passes through
+    code, frozen = _child(_ENTRY_CHILD, *_RECURRENCE)
+    assert code == 0
+    assert frozen > 0
+
+
+def test_cli_main_leaves_the_collector_as_it_was(capsys):
+    # only the process entry point freezes: library callers keep their GC state
+    before = gc.get_freeze_count()
+    assert cli.main(list(_RECURRENCE)) == 0
+    assert gc.get_freeze_count() == before
 
 
 @pytest.fixture(scope="module")
