@@ -40,9 +40,7 @@ def _load_sequence(seq: str, count: int) -> list[Fraction]:
 def run(args):
     from . import convexity
 
-    triangle = (
-        convexity.Triangle.EULERIAN_A if args.triangle == "A" else convexity.Triangle.EULERIAN_B
-    )
+    triangle = convexity.Triangle(args.triangle)
     xs = _load_sequence(args.seq, args.nmax + 1)
     report = convexity.transform_log_convexity_experiment(triangle, xs, args.nmax)
     config = {"triangle": args.triangle, "seq": args.seq, "nmax": args.nmax}

@@ -1,42 +1,37 @@
 """``qeuler selftest``: the three routes' agreement matrix at default caps.
 
-The rows come from the ``table`` command's routes (``cmd_table``), so this
-is the one command that loads another command's module.
+Each family of ``families._FAMILIES`` runs at every point of its grid,
+up to its walk's cap, by the routes of ``families._ROUTES``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
-from . import cli, cmd_table, families
+from . import cli, families
 from .families import Family, FamilySpec
 
-_T_GRID = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
-_GENERAL_GRID = ((1, 1), (1, 2), (1, 3), (2, 5), (0, 1))
+#: The points a family is tested at, by the parameters it takes.
+_GRIDS = {
+    (): [()],
+    ("t",): [(0,), (1,), (2,), (Fraction(1, 2),), (3,)],
+    ("a", "d"): [(1, 1), (1, 2), (1, 3), (2, 5), (0, 1)],
+}
 
 
 def add_arguments(parser) -> None:
     parser.add_argument("--nmax", type=cli._positive_int, help="clamp the per-family caps")
 
 
-def _selftest_instances(clamp: int | None) -> list[tuple[FamilySpec, int]]:
+def _instances(clamp: int | None) -> Iterator[tuple[FamilySpec, int]]:
     from . import walks
 
-    def cap(value: int) -> int:
-        return min(value, clamp) if clamp else value
-
-    out: list[tuple[FamilySpec, int]] = [
-        (FamilySpec(Family.TYPE_A_SHIFTED), cap(walks.DESCENT_CAP)),
-        (FamilySpec(Family.TYPE_A), cap(walks.DESCENT_CAP)),
-    ]
-    out += [(FamilySpec(Family.TYPE_A_QT, t=t), cap(walks.DESCENT_CAP)) for t in _T_GRID]
-    out.append((FamilySpec(Family.TYPE_B), cap(walks.SIGNED_CAP)))
-    out += [(FamilySpec(Family.TYPE_B_QT, t=t), cap(walks.SIGNED_CAP)) for t in _T_GRID]
-    out += [
-        (FamilySpec(Family.GENERAL, a=Fraction(a), d=Fraction(d)), cap(10))
-        for a, d in _GENERAL_GRID
-    ]
-    return out
+    for family in Family:
+        names, _, walk = families._FAMILIES[family]
+        cap = 10 if walk is None else getattr(walks, walk[0])  # General has no walk
+        for values in _GRIDS[names]:
+            yield FamilySpec(family, **dict(zip(names, values))), min(cap, clamp or cap)
 
 
 def run(args):
@@ -44,13 +39,10 @@ def run(args):
 
     matrix: list[dict] = []
     all_pass = True
-    for spec, ncap in _selftest_instances(args.nmax):
+    for spec, ncap in _instances(args.nmax):
         count = ncap + 1
-        abd = families.family_egf_params(spec)
-        egf, cfrac, enum = (
-            cmd_table._table_rows(spec, abd, r, count) for r in ("egf", "cfrac", "enum")
-        )
-        jf = jacobi.jfraction_from_params(*abd, count)
+        egf, cfrac, enum = (families._ROUTES[r](spec, count) for r in ("egf", "cfrac", "enum"))
+        jf = jacobi.jfraction_from_params(*families.family_egf_params(spec), count)
         motzkin = jacobi.moments_by_motzkin_paths(jf, count)
         label = spec.label()
         for n in range(count):

@@ -1,21 +1,18 @@
-"""The six polynomial families, their recurrence route and their enumeration route.
+"""The six polynomial families, their routes and the table of routes.
 
 Every family is a specialization of the EGF parameter triple (a, b, d).
 The table ``_FAMILIES`` is the one place a family is declared: which of
-t, a and d it takes, and its triple as a function of them.
-``FamilySpec``, its label, ``family_egf_params`` and the command line
-all read it.
+t, a and d it takes, its triple as a function of them, and its group
+walk.  ``FamilySpec``, its label, ``family_egf_params``, the
+enumeration route and the command line all read it.
 
 Every family's recurrence route is one integer triangle, ``eulerian_rows``,
 on the linear forms (ab, bd, d); type A is (1, 1, 1) and type B (1, 2, 2).
 ``type_b_polynomial`` is kept only as an independent check of type B.
 
-The enumeration route, ``enumeration_polynomial``, reads the group walks
-of ``walks``, and imports that module only when it walks a group.  Two
-normalization quirks are encoded once, there: the excedance statistic
-carries a conventional extra factor q (so the qt-family enumeration is q
-times its EGF), and the classical type-A polynomial is q times the
-descent polynomial for n >= 1.
+The enumeration route, ``enumeration_polynomial``, runs a family's walk
+from ``walks``, and imports that module only when it walks a group.
+``_ROUTES`` names every route once, for ``table`` and ``selftest``.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from __future__ import annotations
 import enum
 from collections import deque, namedtuple
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .algebra import ONE, Q, QPoly, Rat, _common_denominator, as_fraction
 
@@ -49,15 +46,31 @@ class Family(enum.Enum):
     GENERAL = "General"
 
 
-#: The one place a family is declared: the parameters it takes, in print
-#: order, and its (a, b, d) triple as a function of them.
-_FAMILIES: dict[Family, tuple[tuple[str, ...], Callable]] = {
-    Family.TYPE_A_SHIFTED: ((), lambda: (1, 1, 1)),  # descent polynomials of S_n
-    Family.TYPE_A: ((), lambda: (0, 1, 1)),  # q * descent polynomial (n >= 1)
-    Family.TYPE_A_QT: (("t",), lambda t: (1, t, 1)),  # excedances marked by q, cycles by t
-    Family.TYPE_B: ((), lambda: (1, 1, 2)),  # descent polynomials of signed permutations
-    Family.TYPE_B_QT: (("t",), lambda t: (1, 1, 1 + t)),  # signed descents, negatives marked by t
-    Family.GENERAL: (("a", "d"), lambda a, d: (a, 1, d)),  # the (a, d) Eulerian triangle
+#: The one place a family is declared: its parameters in print order, its
+#: (a, b, d) as a function of them, and its group walk or None.  A walk is
+#: the name of its cap in ``walks`` and its row n aligned to the EGF, as a
+#: function of the ``walks`` module, n and the parameters.
+_FAMILIES: dict[Family, tuple[tuple[str, ...], Callable, tuple[str, Callable] | None]] = {
+    Family.TYPE_A_SHIFTED: (  # descent polynomials of S_n
+        (), lambda: (1, 1, 1), ("DESCENT_CAP", lambda w, n: w.descent_polynomial(n))
+    ),
+    Family.TYPE_A: (  # q * descent polynomial (n >= 1)
+        (), lambda: (0, 1, 1), ("DESCENT_CAP", lambda w, n: Q * w.descent_polynomial(n))
+    ),
+    Family.TYPE_A_QT: (  # excedances marked by q, cycles by t; the walk has an extra q
+        ("t",),
+        lambda t: (1, t, 1),
+        ("DESCENT_CAP", lambda w, n, t: w.excedance_cycle_polynomial(n, t).divide_by_q()),
+    ),
+    Family.TYPE_B: (  # descent polynomials of signed permutations
+        (), lambda: (1, 1, 2), ("SIGNED_CAP", lambda w, n: w.signed_descent_polynomial(n, 1))
+    ),
+    Family.TYPE_B_QT: (  # signed descents, negatives marked by t
+        ("t",),
+        lambda t: (1, 1, 1 + t),
+        ("SIGNED_CAP", lambda w, n, t: w.signed_descent_polynomial(n, t)),
+    ),
+    Family.GENERAL: (("a", "d"), lambda a, d: (a, 1, d), None),  # the (a, d) Eulerian triangle
 }
 
 
@@ -173,28 +186,40 @@ def recurrence_polynomial(a: Rat | str, b: Rat | str, d: Rat | str, count: int) 
 def enumeration_polynomial(spec: FamilySpec, count: int) -> list[QPoly]:
     """The combinatorial route: T_0 .. T_{count-1}, aligned to the EGF normalization.
 
-    T_0 = 1 for every family (the empty group).  For the excedance
-    family the walk produces q * T_n, so the result is divided by q; for
-    TypeA the descent walk produces T_n / q, so it is multiplied.  The
-    signed families are the raw statistic.  General has no group walk:
-    its rows are the recurrence's.  A table past the walk cap is refused
-    before any group is walked.
+    T_0 = 1 (the empty group), and row n >= 1 is the family's walk in
+    ``_FAMILIES``.  General has no walk: its rows are the recurrence's.
+    A table past the walk cap is refused before any group is walked.
     """
-    fam = spec.family
-    if fam is Family.GENERAL:
+    walk = _FAMILIES[spec.family][2]
+    if walk is None:
         return recurrence_polynomial(spec.a, 1, spec.d, count)
     from . import walks
 
-    cap = walks.DESCENT_CAP
-    if fam is Family.TYPE_A_SHIFTED:
-        walk = walks.descent_polynomial
-    elif fam is Family.TYPE_A:
-        walk = lambda n: Q * walks.descent_polynomial(n)
-    elif fam is Family.TYPE_A_QT:
-        walk = lambda n: walks.excedance_cycle_polynomial(n, spec.t).divide_by_q()
-    else:
-        t = 1 if spec.t is None else spec.t
-        walk, cap = (lambda n: walks.signed_descent_polynomial(n, t)), walks.SIGNED_CAP
+    cap_name, row = walk
+    cap, params = getattr(walks, cap_name), spec.params.values()
     if count - 1 > cap:
-        walk(cap + 1)  # raises the error an upward walk would meet, before walking any group
-    return [ONE, *map(walk, range(1, count))][:count]
+        row(walks, cap + 1, *params)  # raises the error an upward walk would meet, walking no group
+    return [ONE, *(row(walks, n, *params) for n in range(1, count))][:count]
+
+
+def _egf_rows(spec: FamilySpec, count: int) -> list[QPoly]:
+    from . import series
+
+    return series.egf_polynomials(*family_egf_params(spec), count)
+
+
+def _cfrac_rows(spec: FamilySpec, count: int) -> tuple[QPoly, ...]:
+    from . import jacobi
+
+    jf = jacobi.jfraction_from_params(*family_egf_params(spec), count)
+    return jacobi.moments_by_cfrac_expansion(jf, count)
+
+
+#: Every route, in ``--route`` order: rows 0 .. count-1 of a family.  The
+#: egf and cfrac routes import their modules only when they run.
+_ROUTES: dict[str, Callable[[FamilySpec, int], Sequence[QPoly]]] = {
+    "egf": _egf_rows,
+    "cfrac": _cfrac_rows,
+    "enum": enumeration_polynomial,
+    "recurrence": lambda spec, count: recurrence_polynomial(*family_egf_params(spec), count),
+}

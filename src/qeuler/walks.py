@@ -17,8 +17,8 @@ The signed walk does this once per sign set, 2^n·n! elements in all:
 indices.
 
 Only ``table --route enum`` (for every family but General) and
-``selftest`` import this module: ``families.enumeration_polynomial``
-and the selftest command import it when they run.
+``selftest`` import this module: ``families`` imports it when it runs a
+family's walk, which ``families._FAMILIES`` names with its cap.
 """
 
 from __future__ import annotations

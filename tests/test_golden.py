@@ -71,6 +71,8 @@ GOLDEN = [
      "e3f750445f50feb18396503f169b396a0df7577b8c4899075a2d1522a47e9284"),
     (("selftest", "--nmax", "3", "--format", "text"), 0,
      "af2e6f1ff882cfd2bd3df99b50e39430330a82848c2449f2a2a53d0ed84f102c"),
+    # every walk at its own cap: 498 cells, where --nmax 3 clamps every cap to 3
+    (("selftest",), 0, "b001593bcb533a9e9dd3a1166dbf5039fa68ffa222a908936807d45f66f52f6b"),
     # equal to the --route egf output but for the route name
     (("table", "--family", "TypeA", "--nmax", "4", "--route", "recurrence"), 0,
      "2dcc7e292d91fb5839fafe6f7edc00898f2899bdda9ef653a6c52edc0dc8631b"),
