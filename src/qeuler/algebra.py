@@ -34,8 +34,8 @@ the integer path sum ``jacobi.moments_by_motzkin_paths``.
 
 ``QRatFun``, a quotient of two ``QPoly``, lives in ``ratfun``, which no
 command imports.  The module ``__getattr__`` below still answers
-``algebra.QRatFun`` (and ``_poly_exact_div`` and ``RF_*``) by importing
-``ratfun`` on first access, for code that looks those names up here.
+``algebra.QRatFun``, and only that name, by importing ``ratfun`` on
+first access, for code that looks it up here.
 
 No floating point enters at any stage.  Rationals serialize as ``"p/q"``
 (or ``"p"`` when the denominator is 1), which is exactly ``str()`` of a
@@ -464,9 +464,9 @@ def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
 
 
 def __getattr__(name: str):
-    # the names that moved to ratfun, resolved here on first access (PEP 562)
-    if name in ("QRatFun", "_poly_exact_div", "RF_ZERO", "RF_ONE", "RF_Q"):
-        from . import ratfun
+    # QRatFun moved to ratfun; it is resolved here on first access (PEP 562)
+    if name == "QRatFun":
+        from .ratfun import QRatFun
 
-        return getattr(ratfun, name)
+        return QRatFun
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,7 @@ def run(args):
             raise ValueError(f"--imax has no effect with --mode {args.mode}")
         if args.nmax is None:
             raise ValueError("--nmax is required for --mode qlcx/strong")
-        depth = max(1, (args.nmax - 1) // 2 + 1)
+        depth = (args.nmax - 1) // 2 + 1
         jf = jacobi.jfraction_from_params(*abd, depth)
         mu = jacobi.moments_by_motzkin_paths(jf, args.nmax)
         config["nmax"] = args.nmax

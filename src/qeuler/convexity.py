@@ -80,53 +80,52 @@ class CriterionReport(namedtuple("CriterionReport", ConvexityReport._fields + (
     __slots__ = ()
 
 
-def check_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
-    """Check f_{n-1} f_{n+1} >=_q f_n^2 for every interior index."""
+def _witnesses(pairs) -> tuple[tuple, ...]:
+    """(m, n, k) for each (m, n, f, g) of ``pairs`` where f >=_q g first fails at q^k."""
+    return tuple((m, n, k) for m, n, f, g in pairs if (k := _first_drop(f, g)) is not None)
+
+
+def _sequence(seq: Sequence[QPoly]) -> tuple[list[QPoly], int]:
+    """The entries of ``seq`` as ``QPoly``, and the last index n that has an f_{n+1}."""
     polys = [as_qpoly(f) for f in seq]
     if len(polys) < 3:
         raise ValueError("need at least three polynomials")
-    witnesses: list[Witness] = []
-    last = len(polys) - 2
-    for n in range(1, last + 1):
-        k = _first_drop(polys[n - 1] * polys[n + 1], polys[n] * polys[n])
-        if k is not None:
-            witnesses.append((n, n, k))
-    return ConvexityReport(
-        verdict=not witnesses,
-        witnesses=tuple(witnesses),
-        checked_range=(1, last),
-    )
+    return polys, len(polys) - 2
+
+
+def _antidiagonal_pairs(f: list[QPoly], last: int):
+    """(m, n, f_{m-1} f_{n+1}, f_m f_n) for all last >= n >= m >= 1, by anti-diagonals.
+
+    Both products of a pair have index sum sigma = m + n, so along one
+    sigma, P_i = f_i f_{sigma-i} is formed once and serves as f_m f_n for
+    the pair (i, sigma - i) and as f_{m-1} f_{n+1} for the pair
+    (i + 1, sigma - i - 1).
+    """
+    for sigma in range(2, 2 * last + 1):
+        low = max(1, sigma - last)
+        prev = f[low - 1] * f[sigma - low + 1]
+        for m in range(low, sigma // 2 + 1):
+            cur = f[m] * f[sigma - m]
+            yield m, sigma - m, prev, cur
+            prev = cur
+
+
+def check_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
+    """Check f_{n-1} f_{n+1} >=_q f_n^2 for every interior index."""
+    f, last = _sequence(seq)
+    witnesses = _witnesses((n, n, f[n - 1] * f[n + 1], f[n] * f[n]) for n in range(1, last + 1))
+    return ConvexityReport(verdict=not witnesses, witnesses=witnesses, checked_range=(1, last))
 
 
 def check_strong_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
     """Check f_{m-1} f_{n+1} >=_q f_m f_n for all n >= m >= 1.
 
-    Both products of a pair have index sum sigma = m + n, so the pairs
-    are walked by anti-diagonals: along one sigma, P_i = f_i f_{sigma-i}
-    is formed once and serves as f_m f_n for the pair (i, sigma - i) and
-    as f_{m-1} f_{n+1} for the pair (i + 1, sigma - i - 1).  Witnesses
-    are reported in (m, n) order.
+    The pairs are walked by anti-diagonals, which form each product
+    once; witnesses are reported in (m, n) order.
     """
-    polys = [as_qpoly(f) for f in seq]
-    if len(polys) < 3:
-        raise ValueError("need at least three polynomials")
-    witnesses: list[Witness] = []
-    last = len(polys) - 2
-    for sigma in range(2, 2 * last + 1):
-        low = max(1, sigma - last)
-        prev = polys[low - 1] * polys[sigma - low + 1]
-        for m in range(low, sigma // 2 + 1):
-            cur = polys[m] * polys[sigma - m]
-            k = _first_drop(prev, cur)
-            if k is not None:
-                witnesses.append((m, sigma - m, k))
-            prev = cur
-    witnesses.sort()
-    return ConvexityReport(
-        verdict=not witnesses,
-        witnesses=tuple(witnesses),
-        checked_range=(1, last),
-    )
+    f, last = _sequence(seq)
+    witnesses = tuple(sorted(_witnesses(_antidiagonal_pairs(f, last))))
+    return ConvexityReport(verdict=not witnesses, witnesses=witnesses, checked_range=(1, last))
 
 
 def moment_convexity_criterion(jf: JFraction, i_max: int) -> CriterionReport:
@@ -142,24 +141,20 @@ def moment_convexity_criterion(jf: JFraction, i_max: int) -> CriterionReport:
         raise ValueError(
             f"criterion to i_max={i_max} needs depth >= {i_max + 2}, have {jf.depth}"
         )
-    witnesses: list[Witness] = []
-    for i in range(1, i_max + 1):
-        k = _first_drop(jf.s[i] * jf.s[i + 1], jf.t[i])
-        if k is not None:
-            witnesses.append((i, i + 1, k))
-    hypothesis_witnesses: list[tuple[str, int, int]] = []
-    for name, first, weights in (("s", 0, jf.s[: i_max + 2]), ("t", 1, jf.t[: i_max + 1])):
-        for j, w in enumerate(weights, first):
-            k = _first_drop(w, ZERO)
-            if k is not None:
-                hypothesis_witnesses.append((name, j, k))
+    s, t = jf.s, jf.t
+    witnesses = _witnesses((i, i + 1, s[i] * s[i + 1], t[i]) for i in range(1, i_max + 1))
+    hypothesis_witnesses = _witnesses(
+        (name, j, w, ZERO)
+        for name, first, weights in (("s", 0, s[: i_max + 2]), ("t", 1, t[: i_max + 1]))
+        for j, w in enumerate(weights, first)
+    )
     return CriterionReport(
         verdict=not witnesses,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         checked_range=(1, i_max),
         hypothesis_nonneg=not hypothesis_witnesses,
-        hypothesis_witnesses=tuple(hypothesis_witnesses),
-        gap_at_zero_nonneg=_first_drop(jf.s[0] * jf.s[1], jf.t[0]) is None,
+        hypothesis_witnesses=hypothesis_witnesses,
+        gap_at_zero_nonneg=_first_drop(s[0] * s[1], t[0]) is None,
     )
 
 

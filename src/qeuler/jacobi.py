@@ -21,14 +21,17 @@ meet here and must agree exactly:
 * the first column of a Riordan array whose production matrix is
   tridiagonal with these weights (checked in the test suite).
 
-``orthogonal_basis`` runs the three-term recurrence
+One private step, ``_three_term(up, level, down, s, t)``, forms
+``up - s*level - t*down`` entrywise, the three-term recurrence of the
+fraction (Flajolet 1980).  It is the convergent update of
+``moments_by_cfrac_expansion``; ``orthogonal_basis`` runs it as
 
-    Q_{n+1}(x) = (x - s_n) Q_n(x) - t_n Q_{n-1}(x)
+    Q_{n+1}(x) = (x - s_n) Q_n(x) - t_n Q_{n-1}(x),   Q_{-1} = 0, t_0 = 0,
 
 and returns the coefficient rows of Q_0, Q_1, ... as a tuple of tuples;
 ``jfraction_from_moments`` inverts moments back to weights by the
-Chebyshev algorithm (Gautschi 2004, section 2.1): the same recurrence
-run on the mixed moments sigma_{k,l} = <Q_k, x^l>, which needs only
+Chebyshev algorithm (Gautschi 2004, section 2.1): the same step run on
+the mixed moments sigma_{k,l} = <Q_k, x^l>, which needs only
 polynomial products and exact divisions in Q[q].  Its quotients are
 identically s_0 + ... + s_k and t_k, so when the weights are
 polynomials every division leaves no remainder; a remainder is refused
@@ -117,12 +120,32 @@ def jfraction_from_params(a, b, d, depth: int) -> JFraction:
     return JFraction(s, t)
 
 
-def _require_depth(jf: JFraction, height: int, what: str) -> None:
+def _require_depth(jf: JFraction, count: int, what: str) -> int:
+    """The height floor((count-1)/2) that ``count`` moments reach, once ``jf`` is deep enough."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    height = (count - 1) // 2
     if len(jf.s) < height + 1 or len(jf.t) < height:
         raise ValueError(
             f"{what} needs weights up to height {height} "
             f"(depth >= {height + 1}), have depth {jf.depth}"
         )
+    return height
+
+
+def _three_term(up, level, down, s: QPoly, t: QPoly) -> list[QPoly]:
+    """``up - s*level - t*down`` entrywise: the one three-term step of the module.
+
+    A shorter operand counts as zero past its end, and a zero weight or
+    a zero entry adds no product.
+    """
+    out = list(up) + [ZERO] * (max(len(level), len(down)) - len(up))
+    for w, terms in ((s, level), (t, down)):
+        if not w.is_zero:
+            for i, c in enumerate(terms):
+                if not c.is_zero:
+                    out[i] = out[i] - w * c
+    return out
 
 
 def moments_by_motzkin_paths(jf: JFraction, count: int) -> tuple[QPoly, ...]:
@@ -139,10 +162,7 @@ def moments_by_motzkin_paths(jf: JFraction, count: int) -> tuple[QPoly, ...]:
     steps, so every path of length n carries the factor L^n: the
     integer sum M_n is mu_n L^n, and mu_n is reduced once, as M_n / L^n.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    height = (count - 1) // 2
-    _require_depth(jf, height, "motzkin moment computation")
+    height = _require_depth(jf, count, "motzkin moment computation")
     s, t = jf.s[: height + 1], jf.t[:height]
     scale = lcm(*(w._den for w in s + t))
     level = [[c * (scale // w._den) for c in w._num] for w in s]
@@ -169,36 +189,27 @@ def moments_by_cfrac_expansion(jf: JFraction, count: int) -> tuple[QPoly, ...]:
     """mu_n by expanding the nested fraction through its convergents.
 
     With H = floor((count-1)/2), levels below H only influence x-powers
-    beyond the window, so the fraction is cut there and written as N/D
-    with N = 1, D = 1 - s_H x.  Wrapping one level up,
+    beyond the window, so the fraction is cut there: above level H it is
+    written as N/D = 0/1.  Wrapping one level up,
 
         1/(1 - s_k x - t_{k+1} x^2 N/D) = D / ((1 - s_k x) D - t_{k+1} x^2 N),
 
-    so (N, D) <- (D, (1 - s_k x) D - t_{k+1} x^2 N) is the three-term
-    recurrence of the convergents (Flajolet 1980), kept below x^count.
+    so (N, D) <- (D, D - s_k xD - t_{k+1} x^2 N), one ``_three_term``
+    step, is the recurrence of the convergents, kept below x^count.
     Every step keeps D(0) = 1, hence the single division N/D at the end
     is exact in Q[q] and needs no rational functions: the whole route
     costs O(count^2) polynomial products.  It reads the fraction as an
     algebraic object, sharing nothing with the path count except the
     weights themselves.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    height = (count - 1) // 2
-    _require_depth(jf, height, "cfrac moment expansion")
-    num: list[QPoly] = [ONE]
-    den: list[QPoly] = [ONE, -jf.s[height]][:count]
-    for k in range(height - 1, -1, -1):
-        s, t = jf.s[k], jf.t[k]
-        size = min(count, len(den) + 1)
-        nxt = den + [ZERO] * (size - len(den))
-        for i, c in enumerate(den[: size - 1]):
-            if not c.is_zero:
-                nxt[i + 1] = nxt[i + 1] - s * c
-        for i, c in enumerate(num[: size - 2]):
-            if not c.is_zero:
-                nxt[i + 2] = nxt[i + 2] - t * c
-        num, den = den, nxt
+    height = _require_depth(jf, count, "cfrac moment expansion")
+    # above height H the fraction is N/D = 0/1, so t_{H+1} x^2 N adds nothing
+    num: list[QPoly] = []
+    den: list[QPoly] = [ONE]
+    for k in range(height, -1, -1):
+        t = jf.t[k] if k < height else ZERO
+        x_den, x2_num = [ZERO, *den][:count], [ZERO, ZERO, *num][:count]
+        num, den = den, _three_term(den, x_den, x2_num, jf.s[k], t)
     # mu = N / D with D(0) = 1: mu_n = N_n - sum_{k>=1} D_k mu_{n-k}
     num += [ZERO] * (count - len(num))
     rest = den[1:]
@@ -214,21 +225,10 @@ def orthogonal_basis(jf: JFraction, size: int) -> tuple[tuple[QPoly, ...], ...]:
         raise ValueError("size must be positive")
     if len(jf.s) < size - 1 or len(jf.t) < max(0, size - 2):
         raise ValueError(f"need depth >= {size - 1} for {size} rows, have {jf.depth}")
-    rows: list[tuple[QPoly, ...]] = [(ONE,)]
-    if size >= 2:
-        rows.append((-jf.s[0], ONE))
-    for n in range(2, size):
-        s, t = jf.s[n - 1], jf.t[n - 2]
-        prev = rows[n - 1]
-        prev2 = rows[n - 2]
-        new = [ZERO] * (n + 1)
-        for k, ck in enumerate(prev):
-            new[k + 1] = new[k + 1] + ck
-            new[k] = new[k] - s * ck
-        for k, ck in enumerate(prev2):
-            new[k] = new[k] - t * ck
-        rows.append(tuple(new))
-    return tuple(rows)
+    rows: list[tuple[QPoly, ...]] = [(), (ONE,)]  # Q_{-1} = 0, Q_0 = 1
+    for s, t in zip(jf.s[: size - 1], (ZERO, *jf.t)):  # t_0 = 0
+        rows.append(tuple(_three_term((ZERO, *rows[-1]), rows[-1], rows[-2], s, t)))
+    return tuple(rows[1:])
 
 
 def verify_orthogonality(basis: Sequence[Sequence[QPoly]], moments: Sequence[QPoly]) -> bool:
@@ -260,7 +260,7 @@ def jfraction_from_moments(moments: Sequence, depth: int | None = None) -> JFrac
 
         sigma_{0,l} = mu_l,
         sigma_{k,l} = sigma_{k-1,l+1} - s_{k-1} sigma_{k-1,l}
-                      - t_{k-1} sigma_{k-2,l}          (no t term at k = 1),
+                      - t_{k-1} sigma_{k-2,l}          (t_0 = 0),
 
     for k <= l <= 2*depth - 1 - k, so moments up to index 2*depth - 1
     are needed and only two rows are kept.  Orthogonality leaves
@@ -298,35 +298,24 @@ def jfraction_from_moments(moments: Sequence, depth: int | None = None) -> JFrac
     def nonpolynomial(what: str, num: QPoly, den: QPoly) -> ValueError:
         return ValueError(f"moment inversion produced a nonpolynomial {what}: ({num}) / ({den})")
 
-    width = 2 * depth
-    # rows of sigma indexed by l; entries below l = k are never read
+    # row k holds sigma_{k,k}, sigma_{k,k+1}, ..., sigma_{k,2*depth-1-k}
     older: list[QPoly] = []
-    row: list[QPoly] = list(mu[:width])
+    row: list[QPoly] = mu[: 2 * depth]
     s_out: list[QPoly] = []
-    t_out: list[QPoly] = []
+    t_out: list[QPoly] = [ZERO]  # t_0 = 0
     norm_prev = ONE
     partial = ZERO  # a_{k-1} = s_0 + ... + s_{k-1}
     for k in range(depth):
         if k:
-            s = s_out[-1]
-            t = t_out[-1] if k > 1 else ZERO
-            nxt = [ZERO] * width
-            for l in range(k, width - k):
-                acc = row[l + 1]
-                if not s.is_zero and not row[l].is_zero:
-                    acc = acc - s * row[l]
-                if not t.is_zero and not older[l].is_zero:
-                    acc = acc - t * older[l]
-                nxt[l] = acc
-            older, row = row, nxt
-        norm = row[k]
+            older, row = row, _three_term(row[2:], row[1:-1], older[2:-2], s_out[-1], t_out[-1])
+        norm = row[0]
         if norm.is_zero:
             raise NonQuasiDefiniteError(
                 f"norm of Q_{k} vanishes; no J-fraction of depth {depth} exists"
             )
-        a, rem = poly_divmod(row[k + 1], norm)
+        a, rem = poly_divmod(row[1], norm)
         if not rem.is_zero:
-            raise nonpolynomial(f"s_{k}", row[k + 1] - partial * norm, norm)
+            raise nonpolynomial(f"s_{k}", row[1] - partial * norm, norm)
         s_out.append(a - partial)
         partial = a
         if k:
@@ -335,4 +324,4 @@ def jfraction_from_moments(moments: Sequence, depth: int | None = None) -> JFrac
                 raise nonpolynomial(f"t_{k}", norm, norm_prev)
             t_out.append(ratio)
         norm_prev = norm
-    return JFraction(tuple(s_out), tuple(t_out))
+    return JFraction(tuple(s_out), tuple(t_out[1:]))

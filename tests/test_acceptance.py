@@ -119,7 +119,13 @@ def test_criterion_2_production_matrix_two_constructions_agree():
 
 
 def test_criterion_3_inverse_matrix_rows_are_orthogonal_polynomials():
-    for a, b, d in [(1, 1, 1), (1, 1, 2), (2, 1, 5)]:
+    half = Fraction(1, 2)
+    for a, b, d in [
+        (1, 1, 1), (1, 1, 2), (2, 1, 5),
+        # rational, and outside the region where the weights are nonnegative
+        (1, half, 3 * half), (Fraction(2, 3), 1, Fraction(5, 3)), (3, 1, 1),
+        (1, -2, 1), (-5 * half, Fraction(3, 7), 2), (1, 0, 1),
+    ]:
         size = 8
         arr = exp_riordan_from_params(a, b, d, size)
         inv = lower_tri_inverse(riordan_matrix(arr))
@@ -128,7 +134,9 @@ def test_criterion_3_inverse_matrix_rows_are_orthogonal_polynomials():
         for n in range(size):
             assert inv[n] == (*basis[n], *[QPoly(0)] * (size - n - 1)), (a, b, d, n)
         mu = moments_by_motzkin_paths(jf, 11)
-        assert verify_orthogonality(orthogonal_basis(jf, 6), mu), (a, b, d)
+        # the norm <Q_n, x^n> is t_1 ... t_n: it vanishes at (1, -2, 1) and (1, 0, 1)
+        quasi_definite = all(jf.t[:5])
+        assert verify_orthogonality(orthogonal_basis(jf, 6), mu) == quasi_definite, (a, b, d)
     _passed("3 (matrix inverse rows coincide with orthogonal polynomials)")
 
 

@@ -114,6 +114,15 @@ def test_module_entry_point_freezes_the_heap_before_exit():
     assert frozen > 0
 
 
+def test_installed_script_runs_the_module_entry_point():
+    # so the script freezes the heap and imports families before cli, as python -m does
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"qeuler": "qeuler.__main__:run"}
+    assert callable(importlib.import_module("qeuler.__main__").run)
+
+
 def test_cli_main_leaves_the_collector_as_it_was(capsys):
     # only the process entry point freezes: library callers keep their GC state
     before = gc.get_freeze_count()
@@ -166,11 +175,14 @@ def test_no_command_loads_another_commands_module(argv):
 
 
 def test_algebra_forwards_the_names_that_moved_to_ratfun():
-    # the benchmark's tracer looks QRatFun up as algebra.QRatFun
+    # the benchmark's tracer looks QRatFun up as algebra.QRatFun; nothing reads the rest there
     from qeuler import algebra, ratfun
 
-    for name in ("QRatFun", "_poly_exact_div", "RF_ZERO", "RF_ONE", "RF_Q"):
-        assert getattr(algebra, name) is getattr(ratfun, name)
+    assert algebra.QRatFun is ratfun.QRatFun
+    for name in ("_poly_exact_div", "RF_ZERO", "RF_ONE", "RF_Q"):
+        assert hasattr(ratfun, name)
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(algebra, name)
     assert "poly_gcd" in vars(algebra)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         algebra.no_such_name  # noqa: B018
