@@ -1,8 +1,17 @@
-"""``qeuler check``: a convexity verdict on a family's moments, with witnesses."""
+"""``qeuler check``: a convexity verdict on a family's moments, with witnesses.
+
+The moments mu_0 .. mu_{nmax-1} of a family's J-fraction are its rows
+T_0 .. T_{nmax-1}, so ``qlcx`` and ``strong`` read them from the integer
+triangle (``families.recurrence_polynomial``, O(nmax^2) integer work),
+not from the Motzkin path sum of the weights (O(nmax^3)).  ``QPoly``'s
+form is canonical, so the output is the same byte for byte; no route
+changes, and the tests still pin the triangle to the EGF and cfrac rows.
+Only ``zhu`` reads the weights, so only it imports ``jacobi``.
+"""
 
 from __future__ import annotations
 
-from . import cli
+from . import cli, families
 
 
 def add_arguments(parser) -> None:
@@ -19,13 +28,15 @@ def add_arguments(parser) -> None:
 
 
 def run(args):
-    from . import convexity, jacobi
+    from . import convexity
 
     spec, abd, config = cli._family(args)
     config["mode"] = args.mode
     if args.mode == "zhu":
         if args.nmax is not None:
             raise ValueError("--nmax has no effect with --mode zhu")
+        from . import jacobi
+
         imax = 50 if args.imax is None else args.imax
         jf = jacobi.jfraction_from_params(*abd, imax + 2)
         report = convexity.moment_convexity_criterion(jf, imax)
@@ -35,9 +46,7 @@ def run(args):
             raise ValueError(f"--imax has no effect with --mode {args.mode}")
         if args.nmax is None:
             raise ValueError("--nmax is required for --mode qlcx/strong")
-        depth = (args.nmax - 1) // 2 + 1
-        jf = jacobi.jfraction_from_params(*abd, depth)
-        mu = jacobi.moments_by_motzkin_paths(jf, args.nmax)
+        mu = families.recurrence_polynomial(*abd, args.nmax)
         config["nmax"] = args.nmax
         if args.mode == "qlcx":
             report = convexity.check_q_log_convex(mu)

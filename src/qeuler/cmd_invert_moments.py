@@ -1,8 +1,14 @@
-"""``qeuler invert-moments``: J-fraction weights back from a moment sequence."""
+"""``qeuler invert-moments``: J-fraction weights back from a moment sequence.
+
+With ``--family`` the moments are the family's rows T_0 .. T_{nmax-1},
+read from the integer triangle (``families.recurrence_polynomial``), not
+from the path sum of its closed-form weights.  So the weights recovered
+from them check those closed forms against an independent route.
+"""
 
 from __future__ import annotations
 
-from . import cli
+from . import cli, families
 from .algebra import QPoly
 
 
@@ -37,8 +43,7 @@ def run(args):
         if args.nmax is None:
             raise ValueError("--nmax is required with --family")
         _, abd, config = cli._family(args)
-        jf = jacobi.jfraction_from_params(*abd, args.nmax)
-        moments = jacobi.moments_by_motzkin_paths(jf, args.nmax)
+        moments = families.recurrence_polynomial(*abd, args.nmax)
         config["nmax"] = args.nmax
     else:
         raise ValueError("one of --file or --family is required")

@@ -89,6 +89,14 @@ GOLDEN = [
      "73c2b7bbd337727a7a32f1f2e7d52053d2ef9f2b0b70d24d00e3e9d3c55eec38"),
     (("prodmat", "--family", "TypeA", "--order", "5", "--format", "text"), 0,
      "f55eccfed37e949f4488ab96facd3f7423d88880cf5845f5eeff4063402e9a54"),
+    # outside the region, so the checks print witnesses; recorded while check and
+    # invert-moments still read the Motzkin path sum, before the integer triangle
+    (("check", *_GENERAL_BAD, "--mode", "qlcx", "--nmax", "10"), 1,
+     "9d6cbf8ee08eda9600a518d45d7df0e7eeed13449520bad60df89cb4765eff7c"),
+    (("check", "--family", "TypeB_qt", "--t=-3/2", "--mode", "strong", "--nmax", "9"), 1,
+     "c62f7f9c0a639070601e1a2b0fc7d1f615c613ba92c77db7ceae6768d7d10930"),
+    (("invert-moments", *_GENERAL_BAD, "--nmax", "12"), 0,
+     "4eb63ac14176d27ca79d4b2fc687aeccb2444617784878ca16515662795a8738"),
 ]
 
 #: Input files for the cases below, written into the working directory so
@@ -114,7 +122,8 @@ _TABLE = ("table", *_TYPE_B, "--nmax", "3", "--route", "egf")
 
 #: Usage and help bytes at ``COLUMNS=80``: argparse's own text, so these pin
 #: the parser the CLI builds.  Recorded on Python 3.10.13, 3.11.7 and 3.12.1,
-#: which print the same bytes; 3.13 words and wraps them differently.
+#: which print the same bytes; 3.13 keeps an option and its choices on one
+#: line, so it has its own digests (``_USAGE_DIGESTS_3_13``).
 USAGE_GOLDEN = [
     ((), 2, "80df944cfcb5eb9b6ae56054361637c5e7f019b8fd26ddee4cc37e86d8144bf8"),
     (("bogus",), 2, "ca0c6d5df7994d25f5e17d8b588ee0a84f1f6ba24170210284d3e71fe711db11"),
@@ -142,9 +151,31 @@ USAGE_GOLDEN = [
      "b2cca33dbfe0d5fd1524a6d0fb9c09ecd72c498bc277110a16adf9e6759594cf"),
 ]
 
+#: The same cases' digests on Python 3.13.0, in ``USAGE_GOLDEN`` order.
+_USAGE_DIGESTS_3_13 = [
+    "9221674223bc76719eb9b71df345a559989ef417c06562e8754604d43f56a289",
+    "3b67a05dc9de96aeb474ef547c155210fde61063194814f446fc602ab8dde564",
+    "59cd8d9b2c50eceb8cb078e3e641de07e4d909ab8fd185162674739d5477e16b",
+    "38c7f7b22adf91fb02b209448cc61089f0342f5d40835608f3431f4adf74f146",
+    "68cb6fb5a5f2d939aa43b4e9f088960a49880967dbeed66998eca810b98fd6f2",
+    "1ca4317890ab2823ca3a03fdf7af02a7cd746eb8155112dfc01cac9f70c225d7",
+    "eb72e80be8e42ca516ac6e608c6a4bef8b310151fb6506156eff30911ce7be55",
+    "619047f5af8d977b871442ef2319a71a518af05bc24a13015e0982f5fbaeb528",
+    "29e1c59777108bca72e30f35ae07ed23cf0d8012794f44d6bdb649bc865185e9",
+    "4a68f910a81439ecda05ea11ce8a4049e9d796208cec0fdcfbb289be30ff0e33",
+    "cdd77e4decbcd4d8df75bb6ceed5d4fb7eceb1963cc0166ce3d4c7ca97ba3e13",
+    "2b83ee1bf91332dae4325001a04880140ee7859f217552c54d7e92759e3ced22",
+    "7bbf1cc367d6687c4d06f514c92812ad7829dcfd0c3316553f7146d17febae4e",
+]
+if sys.version_info[:2] == (3, 13):
+    USAGE_GOLDEN = [
+        (argv, code, digest)
+        for (argv, code, _), digest in zip(USAGE_GOLDEN, _USAGE_DIGESTS_3_13, strict=True)
+    ]
+
 
 @pytest.mark.skipif(
-    not (3, 10) <= sys.version_info[:2] <= (3, 12), reason="argparse wording of 3.10-3.12 only"
+    not (3, 10) <= sys.version_info[:2] <= (3, 13), reason="argparse wording of 3.10-3.13 only"
 )
 @pytest.mark.parametrize(
     "argv,code,digest",
