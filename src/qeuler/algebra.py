@@ -18,10 +18,10 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
 * ``poly_dot`` -- the sum of products over paired entries, skipping zero
   factors: every convolution, matrix entry and inner product in the
   package is one call.  It multiplies through ``x * y``.
-* ``_add_nums`` and ``_mul_nums`` -- the sum and the product of integer
-  coefficient lists.  ``QPoly.__add__`` and ``QPoly.__mul__`` run them,
-  and so does the integer path sum of ``jacobi``; they are the package's
-  only polynomial sum and product loops.
+* ``QPoly.__add__`` and ``QPoly.__mul__`` -- the sum and the product of
+  two polynomials, each one loop over the integer numerators.  They are
+  the package's only polynomial sum and product: every other module
+  adds and multiplies ``QPoly`` values through them.
 * ``_common_denominator`` -- rationals as integer numerators over the lcm
   of their denominators: the one conversion into that form, for ``QPoly``
   and the integer routes of ``families``, ``jacobi`` and ``convexity``.
@@ -29,8 +29,7 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
 * ``poly_gcd`` -- the monic greatest common divisor over Q.  Only
   ``ratfun.QRatFun`` calls it.
 
-Only this module reads a ``QPoly``'s numerators and denominator, but for
-the integer path sum ``jacobi.moments_by_motzkin_paths``.
+Only this module reads a ``QPoly``'s numerators and denominator.
 
 ``QRatFun``, a quotient of two ``QPoly``, lives in ``ratfun``, which no
 command imports.  The module ``__getattr__`` below still answers
@@ -67,15 +66,16 @@ __all__ = [
 
 Rat = int | Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# ASCII digits only: ``\d`` would also take any Unicode digit, such as "３"
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[1-9][0-9]*)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational literal ``"p"`` or ``"p/q"``.
+    """Parse an exact rational literal ``"p"`` or ``"p/q"`` in ASCII digits.
 
-    Decimal points, exponents, whitespace inside the literal, and
-    non-positive denominators are all rejected: inputs are either exact
-    or refused.
+    Decimal points, exponents, underscores, non-ASCII digits, whitespace
+    inside the literal, and non-positive denominators are all rejected:
+    inputs are either exact or refused.
     """
     s = text.strip()
     if not _RATIONAL_RE.match(s):
@@ -198,7 +198,11 @@ class QPoly:
             a = [c * (odn // g) for c in a]
             b = [c * (den // g) for c in b]
             den = den // g * odn
-        return _from_parts(_add_nums(a, b), den)
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(map(add, a, b))
+        out += a[len(b):]
+        return _from_parts(out, den)
 
     __radd__ = __add__
 
@@ -221,7 +225,17 @@ class QPoly:
         o = QPoly._coerce(other)
         if o is None:
             return NotImplemented
-        return _from_parts(_mul_nums(self._num, o._num), self._den * o._den)
+        a, b = self._num, o._num
+        if not a or not b:
+            return ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, cb in enumerate(b):
+            if cb:
+                for j, ca in enumerate(a, i):
+                    out[j] += ca * cb
+        return _from_parts(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -317,32 +331,6 @@ def _set_parts(poly: QPoly, num: list[int], den: int) -> None:
             num = [c // g for c in num]
     object.__setattr__(poly, "_num", tuple(num))
     object.__setattr__(poly, "_den", den)
-
-
-def _add_nums(a, b) -> list[int]:
-    """The coefficientwise sum of two integer coefficient sequences, as a new list."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(map(add, a, b))
-    out += a[len(b):]
-    return out
-
-
-def _mul_nums(a, b) -> list[int]:
-    """The coefficients of the product of two integer coefficient sequences.
-
-    Either operand empty (the zero polynomial) gives ``[]``.
-    """
-    if not a or not b:
-        return []
-    if len(a) < len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, cb in enumerate(b):
-        if cb:
-            for j, ca in enumerate(a, i):
-                out[j] += ca * cb
-    return out
 
 
 def _from_parts(num: list[int], den: int) -> QPoly:

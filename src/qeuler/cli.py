@@ -64,6 +64,9 @@ def _rational(text: str) -> Fraction:
 
 
 def _positive_int(text: str) -> int:
+    # int() alone would also take "1_000" and non-ASCII digits such as "８"
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")

@@ -9,10 +9,8 @@ held as a plain tuple of ``QPoly``.  Three independent computations
 meet here and must agree exactly:
 
 * ``moments_by_motzkin_paths``   -- weighted lattice-path sums (level
-  step at height i weighs s_i, down step from height i weighs t_i),
-  run on integer numerators: with L the lcm of the weight denominators,
-  a level step weighs L s_i, a down step L^2 t_i and an up step 1, so
-  every path of length n carries L^n and mu_n is reduced once, over L^n;
+  step at height i weighs s_i, down step from height i weighs t_i, up
+  step 1), one ``poly_dot`` per height at each length (Flajolet 1980);
 * ``moments_by_cfrac_expansion`` -- the truncated fraction itself,
   written as one quotient N/D of polynomials in x by the three-term
   recurrence of its convergents and expanded by a single exact
@@ -44,17 +42,14 @@ module has no serialization.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import lcm
 from typing import Sequence
 
 from .algebra import (
     ONE,
     QPoly,
     ZERO,
-    _add_nums,
     _common_denominator,
     _from_parts,
-    _mul_nums,
     as_fraction,
     as_qpoly,
     poly_divmod,
@@ -153,35 +148,21 @@ def moments_by_motzkin_paths(jf: JFraction, count: int) -> tuple[QPoly, ...]:
 
     After n steps a path must get back to 0 in the count - 1 - n steps
     left, so heights above min(n, count - 1 - n) are pruned; no path
-    climbs above floor((count-1)/2).
-
-    The sum runs on integer numerators.  With L the lcm of the
-    denominators of the weights it reads, a level step at height h
-    weighs L s_h, a down step from height h + 1 weighs L^2 t_{h+1} and
-    an up step weighs 1.  A closed path has as many down steps as up
-    steps, so every path of length n carries the factor L^n: the
-    integer sum M_n is mu_n L^n, and mu_n is reduced once, as M_n / L^n.
+    climbs above floor((count-1)/2).  A path ends its step at height h
+    by an up step from h - 1 (weight 1), a level step at h (weight s_h)
+    or a down step from h + 1 (weight t_{h+1}), so each height's next
+    weight is one ``poly_dot``.
     """
     height = _require_depth(jf, count, "motzkin moment computation")
-    s, t = jf.s[: height + 1], jf.t[:height]
-    scale = lcm(*(w._den for w in s + t))
-    level = [[c * (scale // w._den) for c in w._num] for w in s]
-    down = [[c * (scale * scale // w._den) for c in w._num] for w in t]
-    cur: list[list[int]] = [[1]]  # cur[h]: the scaled weight of paths ending at height h
+    s, t = jf.s[: height + 1], (*jf.t[:height], ZERO)
+    cur: list[QPoly] = [ONE]  # cur[h]: the weight of paths ending at height h
     out: list[QPoly] = [ONE]
-    power = 1
     for n in range(1, count):
-        nxt: list[list[int]] = []
-        for h in range(min(n, count - 1 - n) + 1):
-            acc = _mul_nums(cur[h], level[h]) if h < len(cur) else []
-            if h:
-                acc = _add_nums(acc, cur[h - 1])
-            if h + 1 < len(cur):
-                acc = _add_nums(acc, _mul_nums(cur[h + 1], down[h]))
-            nxt.append(acc)
-        cur = nxt
-        power *= scale
-        out.append(_from_parts(cur[0][:], power))
+        padded = [ZERO, *cur, ZERO]  # padded[h:h + 3] is cur[h - 1], cur[h], cur[h + 1]
+        cur = [
+            poly_dot(padded[h : h + 3], (ONE, s[h], t[h])) for h in range(min(n, count - 1 - n) + 1)
+        ]
+        out.append(cur[0])
     return tuple(out)
 
 

@@ -362,6 +362,9 @@ def test_invert_moments_refuses_nonpolynomial_weights(tmp_path, capsys):
         ["1", None, "2", "4"],
         ["1", ["1", 0.25], "2", "4"],
         ["1", [None], "2", "4"],
+        ["1", "2", "３/4", "4"],
+        ["1", "2", "1/1０", "4"],
+        ["1", "2", ["3/４"], "4"],
     ],
 )
 def test_invert_moments_refuses_inexact_file_entries(tmp_path, capsys, entries):
@@ -451,12 +454,31 @@ def test_deeply_nested_json_file_exits_two(capsys, tmp_path, argv, what):
         ("bogus",),
         (),
         ("table", "--family", "TypeB", "--nmax", "9", "--route", "enum"),
+        ("cfrac", "--family", "TypeA_qt", "--t=３/4", "--depth", "3"),
+        ("cfrac", "--family", "TypeA_qt", "--t=1/1０", "--depth", "3"),
+        ("cfrac", "--family", "TypeA_qt", "--t=3/４", "--depth", "3"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ("0", "must be a positive integer"),
+        ("-3", "must be a positive integer"),
+        ("abc", "invalid _positive_int value: 'abc'"),
+        ("1_000", "invalid _positive_int value: '1_000'"),
+        ("８", "invalid _positive_int value: '８'"),
+    ],
+)
+def test_size_flags_take_ascii_digits_only(capsys, value, error):
+    code, out, err = run_cli(capsys, "selftest", f"--nmax={value}")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"qeuler selftest: error: argument --nmax: {error}"
 
 
 # -- output handling -------------------------------------------------------------------
