@@ -36,7 +36,16 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .algebra import ZERO, QPoly, Rat, _common_denominator, _first_drop, as_fraction, as_qpoly
+from .algebra import (
+    ZERO,
+    QPoly,
+    Rat,
+    _chain_drops,
+    _common_denominator,
+    _first_drop,
+    as_fraction,
+    as_qpoly,
+)
 from .families import eulerian_rows
 
 if TYPE_CHECKING:
@@ -93,39 +102,37 @@ def _sequence(seq: Sequence[QPoly]) -> tuple[list[QPoly], int]:
     return polys, len(polys) - 2
 
 
-def _antidiagonal_pairs(f: list[QPoly], last: int):
-    """(m, n, f_{m-1} f_{n+1}, f_m f_n) for all last >= n >= m >= 1, by anti-diagonals.
-
-    Both products of a pair have index sum sigma = m + n, so along one
-    sigma, P_i = f_i f_{sigma-i} is formed once and serves as f_m f_n for
-    the pair (i, sigma - i) and as f_{m-1} f_{n+1} for the pair
-    (i + 1, sigma - i - 1).
-    """
-    for sigma in range(2, 2 * last + 1):
-        low = max(1, sigma - last)
-        prev = f[low - 1] * f[sigma - low + 1]
-        for m in range(low, sigma // 2 + 1):
-            cur = f[m] * f[sigma - m]
-            yield m, sigma - m, prev, cur
-            prev = cur
-
-
 def check_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
     """Check f_{n-1} f_{n+1} >=_q f_n^2 for every interior index."""
     f, last = _sequence(seq)
-    witnesses = _witnesses((n, n, f[n - 1] * f[n + 1], f[n] * f[n]) for n in range(1, last + 1))
+    packs: dict = {}
+    witnesses = tuple(
+        (n, n, k)
+        for n in range(1, last + 1)
+        if (k := _chain_drops(f, [(n - 1, n + 1), (n, n)], packs)[0]) is not None
+    )
     return ConvexityReport(verdict=not witnesses, witnesses=witnesses, checked_range=(1, last))
 
 
 def check_strong_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
     """Check f_{m-1} f_{n+1} >=_q f_m f_n for all n >= m >= 1.
 
-    The pairs are walked by anti-diagonals, which form each product
-    once; witnesses are reported in (m, n) order.
+    The pairs are walked by anti-diagonals.  Both products of a pair have
+    index sum sigma = m + n, so along one sigma, P_m = f_m f_{sigma-m} is
+    formed once and serves as f_m f_n for the pair (m, sigma - m) and as
+    f_{m-1} f_{n+1} for the pair (m + 1, sigma - m - 1): one chain of
+    ``_chain_drops`` per sigma.  Witnesses are reported in (m, n) order.
     """
     f, last = _sequence(seq)
-    witnesses = tuple(sorted(_witnesses(_antidiagonal_pairs(f, last))))
-    return ConvexityReport(verdict=not witnesses, witnesses=witnesses, checked_range=(1, last))
+    packs: dict = {}
+    witnesses = []
+    for sigma in range(2, 2 * last + 1):
+        low = max(1, sigma - last)
+        chain = [(m, sigma - m) for m in range(low - 1, sigma // 2 + 1)]
+        drops = _chain_drops(f, chain, packs)
+        witnesses += [(m, sigma - m, k) for m, k in enumerate(drops, low) if k is not None]
+    witnesses.sort()
+    return ConvexityReport(verdict=not witnesses, witnesses=tuple(witnesses), checked_range=(1, last))
 
 
 def moment_convexity_criterion(jf: JFraction, i_max: int) -> CriterionReport:
@@ -269,16 +276,19 @@ def _factorials(count: int) -> list[Fraction]:
     return out
 
 def _catalan(count: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for n in range(1, count):
-        out.append(out[-1] * 2 * (2 * n - 1) / (n + 1))
+    out, c = [], 1
+    for n in range(count):
+        out.append(Fraction(c))
+        c = c * 2 * (2 * n + 1) // (n + 2)
     return out
 
 def _motzkin(count: int) -> list[Fraction]:
-    out = [1, 1]
-    for n in range(1, count):
-        out.append(out[n] + sum(out[k] * out[n - 1 - k] for k in range(n)))
-    return [Fraction(v) for v in out[:count]]
+    # (n + 2) M_n = (2n + 1) M_{n-1} + 3(n - 1) M_{n-2} at n + 1; each division is exact
+    out, prev, cur = [], 0, 1
+    for n in range(count):
+        out.append(Fraction(cur))
+        prev, cur = cur, ((2 * n + 3) * cur + 3 * n * prev) // (n + 3)
+    return out
 
 
 BUILTIN_SEQUENCES: dict[str, Callable[[int], list[Fraction]]] = {

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qeuler.algebra import QPoly, _first_drop
+from qeuler.algebra import QPoly, _chain_drops, _first_drop
 from qeuler.cli import _json_value
 from qeuler.convexity import (
     BUILTIN_SEQUENCES,
@@ -201,6 +201,62 @@ def test_criterion_witnesses_equal_the_subtraction_path(abd):
     assert report.gap_at_zero_nonneg == (gaps[0] is None)
 
 
+# -- packed products: _chain_drops against QPoly products and _first_drop ---------------
+
+
+def _product_drops(f, chain):
+    # the definition: build every product as a QPoly and compare neighbours
+    products = [f[i] * f[j] for i, j in chain]
+    return [_first_drop(p, q) for p, q in zip(products, products[1:])]
+
+
+def test_chain_drops_and_checks_equal_qpoly_products():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # coefficients near 2^k - 1 fill a slot's bit height exactly, or overshoot it by one
+    near_power = st.builds(
+        lambda k, off, sign: sign * (2**k - 1 + off),
+        st.integers(1, 90), st.integers(-1, 1), st.sampled_from((1, -1)),
+    )
+    numerator = st.one_of(st.integers(-40, 40), st.just(0), near_power)
+    coeff = st.builds(Fraction, numerator, st.sampled_from((1, 1, 2, 3, 5, 12)))
+    poly = st.one_of(st.just(QPoly()), st.lists(coeff, max_size=9).map(lambda cs: QPoly(*cs)))
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.lists(poly, min_size=3, max_size=8), st.data())
+    def check(f, data):
+        index = st.integers(0, len(f) - 1)
+        chains = data.draw(st.lists(st.lists(st.tuples(index, index), max_size=6), max_size=3))
+        packs: dict = {}  # shared across chains, as the checks share it
+        for chain in chains:
+            assert _chain_drops(f, chain, packs) == _product_drops(f, chain)
+        plain, strong = _subtraction_witnesses(f)
+        assert check_q_log_convex(f).witnesses == plain
+        assert check_strong_q_log_convex(f).witnesses == strong
+
+    check()
+
+
+def test_chain_drops_at_a_slot_boundary():
+    # Both pairs give bits 12 + 12 + bits(3) + bits(15) = 12 + 13 + bits(1) + bits(15) = 30,
+    # so the slot is 32 bits with nothing added by rounding.  Over L = 3,
+    # coefficient 14 of f0 f0 - f2 f3 is 3*15*4095^2 + 14*2782*8191 + 23*4897 = 2^30:
+    # it fits with its one bit of headroom, and would carry out of a 31-bit slot.
+    f0 = QPoly(*[4095] * 15)
+    f2 = QPoly(*[Fraction(23, 3)] + [Fraction(2782, 3)] * 14)
+    f3 = QPoly(*[-8191] * 14 + [-4897])
+    difference = f0 * f0 - f2 * f3
+    assert 3 * max(difference.coeffs) == 3 * difference.coeffs[14] == 2**30
+    assert min(difference.coeffs) > 0
+    assert _chain_drops([f0, f0, f2, f3], [(0, 1), (2, 3)], {}) == [None]
+    # turned around, every coefficient is negative, down to -2^30
+    assert _chain_drops([f0, f0, f2, f3], [(2, 3), (0, 1)], {}) == [0]
+    # the digits -1, 0 and 1, where a slot's high bit flips
+    g = [ONE, ONE, QPoly(2), ONE]
+    assert _chain_drops(g, [(0, 1), (2, 3)], {}) == [0]
+    assert _chain_drops(g, [(2, 3), (0, 1)], {}) == _chain_drops(g, [(0, 1), (1, 0)], {}) == [None]
+
+
 # -- the expanded gap and its bound ---------------------------------------------------
 
 
@@ -268,6 +324,23 @@ def test_builtin_sequences():
     with pytest.raises(ValueError, match="ones"):
         builtin_sequence("fibonacci", 4)
     assert set(BUILTIN_SEQUENCES) == {"ones", "powers2", "factorial", "catalan", "motzkin"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SEQUENCES))
+def test_builtin_sequences_give_exactly_count_entries(name):
+    longer = builtin_sequence(name, 3)
+    for count in range(4):
+        assert builtin_sequence(name, count) == longer[:count]
+    assert builtin_sequence(name, -1) == []
+
+
+def test_motzkin_recurrence_equals_the_convolution():
+    # M_{n+1} = M_n + sum_{k < n} M_k M_{n-1-k}, the definition by first return
+    want = [1, 1]
+    while len(want) < 200:
+        n = len(want) - 1
+        want.append(want[n] + sum(want[k] * want[n - 1 - k] for k in range(n)))
+    assert builtin_sequence("motzkin", 200) == want
 
 
 def test_transform_of_ones_gives_group_orders():
