@@ -25,7 +25,7 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
   through them.
 * ``_common_denominator`` -- rationals as integer numerators over the lcm
   of their denominators: the one conversion into that form, for ``QPoly``
-  and the integer routes of ``families``, ``jacobi`` and ``convexity``.
+  and the integer routes of ``families`` and ``convexity``.
 * ``_first_drop`` -- the ``f >=_q g`` test, read off the numerators.
 * ``_chain_drops`` -- ``_first_drop`` between neighbouring products in a
   chain f_i f_j, f_k f_l, ... with no product built as a ``QPoly``: each

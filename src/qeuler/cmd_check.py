@@ -6,7 +6,10 @@ triangle (``families.recurrence_polynomial``, O(nmax^2) integer work),
 not from the Motzkin path sum of the weights (O(nmax^3)).  ``QPoly``'s
 form is canonical, so the output is the same byte for byte; no route
 changes, and the tests still pin the triangle to the EGF and cfrac rows.
-Only ``zhu`` reads the weights, so only it imports ``jacobi``.
+``zhu`` reads the closed-form weights as integers
+(``convexity._weight_criterion``, O(imax) integer work), builds no
+``JFraction`` and imports no ``jacobi``; its report is the one
+``moment_convexity_criterion`` gives on the same weights.
 """
 
 from __future__ import annotations
@@ -35,11 +38,8 @@ def run(args):
     if args.mode == "zhu":
         if args.nmax is not None:
             raise ValueError("--nmax has no effect with --mode zhu")
-        from . import jacobi
-
         imax = 50 if args.imax is None else args.imax
-        jf = jacobi.jfraction_from_params(*abd, imax + 2)
-        report = convexity.moment_convexity_criterion(jf, imax)
+        report = convexity._weight_criterion(*abd, imax)
         config["imax"] = imax
     else:
         if args.imax is not None:

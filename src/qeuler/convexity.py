@@ -15,9 +15,12 @@ suffices.  The hypothesis starts at i = 1; the i = 0 gap is computed
 and reported informationally, and the nonnegativity hypothesis itself
 is reported separately instead of being silently assumed.
 
-``weight_gap`` expands the same gap symbolically for the closed-form
-family weights attached to EGF parameters (a, b, d), together with the
-simpler quadratic that is claimed to bound it from below.
+``moment_convexity_criterion`` takes any ``JFraction``.  For the
+closed-form family weights of EGF parameters (a, b, d),
+``_weight_criterion`` gives the same report from integer sign tests,
+with no ``QPoly`` and no ``jacobi``: it is ``check --mode zhu``.
+``weight_gap`` expands that gap at one i, together with the simpler
+quadratic that is claimed to bound it from below.
 
 ``transform_log_convexity_experiment`` gathers evidence for two open
 conjectures: applying either Eulerian triangle to a log-convex input
@@ -34,7 +37,7 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
     ZERO,
@@ -43,10 +46,11 @@ from .algebra import (
     _chain_drops,
     _common_denominator,
     _first_drop,
+    _from_parts,
     as_fraction,
     as_qpoly,
 )
-from .families import eulerian_rows
+from .families import _weight_forms, eulerian_rows
 
 if TYPE_CHECKING:
     from .jacobi import JFraction
@@ -165,6 +169,57 @@ def moment_convexity_criterion(jf: JFraction, i_max: int) -> CriterionReport:
     )
 
 
+def _gaps(forms: tuple[int, ...], indices: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """For each i of ``indices``, the numerators of s_i s_{i+1} - t_{i+1} over den^2 tden > 0.
+
+    ``forms`` is ``families._weight_forms(a, b, d)``; this is the one place
+    the closed-form gap is written.
+    """
+    den, step, s0, s1, tden, tstep, t0 = forms
+    den2 = den * den
+    for i in indices:
+        c0, c1 = step * i + s0, step * i + s1  # s_i
+        n0, n1 = c0 + step, c1 + step  # s_{i+1}
+        t = (i + 1) * (tstep * i + t0)  # t_{i+1}
+        yield c0 * n0 * tden, (c0 * n1 + c1 * n0) * tden - t * den2, c1 * n1 * tden
+
+
+def _weight_criterion(a: Rat | str, b: Rat | str, d: Rat | str, i_max: int) -> CriterionReport:
+    """``moment_convexity_criterion(jfraction_from_params(a, b, d, i_max + 2), i_max)``, on ints.
+
+    The closed-form weights are affine in i, so over their positive
+    denominators (``families._weight_forms``) each test is a sign test on
+    integers: s_j has two linear numerators, t_j one quadratic, and the
+    gap at i three quadratics (``_gaps``).  No ``QPoly`` is built, and the
+    report, equal to the ``JFraction`` one in every field, costs O(i_max)
+    integer operations.
+    """
+    if i_max < 1:
+        raise ValueError("i_max must be >= 1")
+    forms = _weight_forms(a, b, d)
+    _, step, s0, s1, _, tstep, t0 = forms
+    gaps = enumerate(_gaps(forms, range(1, i_max + 1)), 1)
+    witnesses = tuple(
+        (i, i + 1, next(k for k, c in enumerate(g) if c < 0)) for i, g in gaps if min(g) < 0
+    )
+    hypothesis_witnesses = (
+        *(
+            ("s", j, 0 if c0 < 0 else 1)
+            for j in range(i_max + 2)
+            if (c0 := step * j + s0) < 0 or step * j + s1 < 0
+        ),
+        *(("t", j, 1) for j in range(1, i_max + 2) if j * (tstep * (j - 1) + t0) < 0),
+    )
+    return CriterionReport(
+        verdict=not witnesses,
+        witnesses=witnesses,
+        checked_range=(1, i_max),
+        hypothesis_nonneg=not hypothesis_witnesses,
+        hypothesis_witnesses=hypothesis_witnesses,
+        gap_at_zero_nonneg=min(next(_gaps(forms, [0]))) >= 0,
+    )
+
+
 class GapResult(namedtuple("GapResult", "gap reference_bound bound_is_lower")):
     """The expanded gap s_i s_{i+1} - t_{i+1} and its simpler lower bound."""
 
@@ -185,13 +240,12 @@ def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
 
     it is whenever b >= 0 and d >= a >= 0.
     """
-    from .jacobi import jfraction_from_params
-
     if i < 0:
         raise ValueError("i must be >= 0")
     fa, fb, fd = as_fraction(a), as_fraction(b), as_fraction(d)
-    jf = jfraction_from_params(fa, fb, fd, i + 2)
-    gap = jf.s[i] * jf.s[i + 1] - jf.t[i]
+    forms = _weight_forms(fa, fb, fd)
+    den, tden = forms[0], forms[4]
+    gap = _from_parts(list(next(_gaps(forms, [i]))), den * den * tden)
     bound = QPoly(
         (fd * i + fa * fb) * (fd * i + fd + fa * fb),
         fa * fb * fb * fd - fa * fa * fb * fb,

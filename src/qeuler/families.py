@@ -106,6 +106,17 @@ def family_egf_params(spec: FamilySpec) -> tuple[Fraction, Fraction, Fraction]:
     return Fraction(a), Fraction(b), Fraction(d)
 
 
+def _weight_forms(a: Rat | str, b: Rat | str, d: Rat | str) -> tuple[int, ...]:
+    """The J-fraction weights of (a, b, d) on integers, (den, step, s0, s1, tden, tstep, t0):
+    s_i = (di + ab) + (di + bd - ab) q = ((step i + s0) + (step i + s1) q) / den and
+    t_{i+1} = d^2 (i + 1)(i + b) q = (i + 1)(tstep i + t0) q / tden, with den, tden > 0.
+    """
+    fa, fb, fd = (as_fraction(v) for v in (a, b, d))
+    den, (step, s0, s1) = _common_denominator((fd, fa * fb, fb * fd - fa * fb))
+    tden, (tstep, t0) = _common_denominator((fd * fd, fd * fd * fb))
+    return den, step, s0, s1, tden, tstep, t0
+
+
 # -- recurrences -------------------------------------------------------------
 
 

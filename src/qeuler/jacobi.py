@@ -48,13 +48,12 @@ from .algebra import (
     ONE,
     QPoly,
     ZERO,
-    _common_denominator,
     _from_parts,
-    as_fraction,
     as_qpoly,
     poly_divmod,
     poly_dot,
 )
+from .families import _weight_forms
 
 __all__ = [
     "JFraction",
@@ -97,21 +96,14 @@ def jfraction_from_params(a, b, d, depth: int) -> JFraction:
         s_i     = (d i + a b) + (d i + b d - a b) q
         t_{i+1} = d^2 (i + 1)(i + b) q
 
-    Each weight is built from integers.  Over D = lcm of the
-    denominators of d, ab and bd - ab, s_i has the numerators
-    (Dd i + Dab, Dd i + D(bd - ab)); with d = p/r and b = u/v, t_{i+1}
-    has the numerator p^2 (i + 1)(v i + u) over r^2 v.
+    Each weight is built from the integer numerators of
+    ``families._weight_forms``.
     """
-    fa, fb, fd = as_fraction(a), as_fraction(b), as_fraction(d)
+    den, step, s0, s1, tden, tstep, t0 = _weight_forms(a, b, d)
     if depth < 1:
         raise ValueError("depth must be positive")
-    ab = fa * fb
-    den, (step, s0, s1) = _common_denominator((fd, ab, fb * fd - ab))
     s = tuple(_from_parts([step * i + s0, step * i + s1], den) for i in range(depth))
-    p, r, u, v = fd.numerator, fd.denominator, fb.numerator, fb.denominator
-    t = tuple(
-        _from_parts([0, p * p * (i + 1) * (v * i + u)], r * r * v) for i in range(depth - 1)
-    )
+    t = tuple(_from_parts([0, (i + 1) * (tstep * i + t0)], tden) for i in range(depth - 1))
     return JFraction(s, t)
 
 

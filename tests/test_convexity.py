@@ -11,6 +11,7 @@ from qeuler.algebra import QPoly, _chain_drops, _first_drop
 from qeuler.cli import _json_value
 from qeuler.convexity import (
     BUILTIN_SEQUENCES,
+    _weight_criterion,
     Triangle,
     builtin_sequence,
     check_q_log_convex,
@@ -19,6 +20,7 @@ from qeuler.convexity import (
     transform_log_convexity_experiment,
     weight_gap,
 )
+from qeuler.families import recurrence_polynomial
 from qeuler.jacobi import (
     JFraction,
     jfraction_from_params,
@@ -201,6 +203,61 @@ def test_criterion_witnesses_equal_the_subtraction_path(abd):
     assert report.gap_at_zero_nonneg == (gaps[0] is None)
 
 
+# -- the closed-form criterion on integers ----------------------------------------------
+
+
+def _criterion_by_weights(a, b, d, i_max):
+    # the reference: the JFraction of the closed-form weights, and the QPoly criterion on it
+    return moment_convexity_criterion(jfraction_from_params(a, b, d, i_max + 2), i_max)
+
+
+def test_integer_criterion_equals_the_weight_criterion():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    )
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(rational, rational, rational, st.integers(1, 60))
+    def check(a, b, d, i_max):
+        got = _weight_criterion(a, b, d, i_max)
+        want = _criterion_by_weights(a, b, d, i_max)
+        assert got == want
+        assert _as_json(got._asdict()) == _as_json(want._asdict())
+
+    check()
+
+
+def test_integer_criterion_when_d_is_zero():
+    # TypeB_qt at t = -1 is (1, 1, 0): every s_i = 1 - q and every t_i = 0
+    report = _weight_criterion(1, 1, 0, 5)
+    assert report == _criterion_by_weights(1, 1, 0, 5)
+    assert report.witnesses == tuple((i, i + 1, 1) for i in range(1, 6))
+    assert report.hypothesis_witnesses == tuple(("s", j, 1) for j in range(7))
+    assert not report.gap_at_zero_nonneg
+
+
+def test_integer_criterion_when_b_is_zero():
+    # (2, 0, 3): s_i = 3i (1 + q), t_{i+1} = 9i(i + 1) q, so the gap is 9i(i + 1)(1 + q + q^2)
+    report = _weight_criterion(2, 0, 3, 8)
+    assert report == _criterion_by_weights(2, 0, 3, 8)
+    assert report.verdict and report.hypothesis_nonneg and report.gap_at_zero_nonneg
+
+
+def test_integer_criterion_when_a_equals_d():
+    # the edge d = a of the region; General(a, d) at a = d = 7/3 carries denominators
+    for abd in ((2, 1, 2), (Fraction(7, 3), 1, Fraction(7, 3))):
+        report = _weight_criterion(*abd, 12)
+        assert report == _criterion_by_weights(*abd, 12)
+        assert report.verdict and report.hypothesis_nonneg and report.gap_at_zero_nonneg
+
+
+def test_integer_criterion_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="i_max must be >= 1"):
+        _weight_criterion(1, 1, 1, 0)
+
+
 # -- packed products: _chain_drops against QPoly products and _first_drop ---------------
 
 
@@ -310,6 +367,51 @@ def test_weight_gap_minus_bound_is_the_stated_identity():
 def test_weight_gap_rejects_negative_index():
     with pytest.raises(ValueError):
         weight_gap(-1, 1, 1, 1)
+
+
+# -- the region is exact: two identities of the rows give the converse ---------------
+
+
+def _rationals(rng, count):
+    return [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(count)]
+
+
+def test_first_log_convexity_gaps_are_the_stated_identities():
+    # for every (a, b, d): T_0T_2 - T_1^2 = b d^2 q and
+    # T_1T_3 - T_2^2 = ab^2d^2(ab + d) q + 2ab^3d^2(d - a) q^2 + b^2d^2(a - d)(ab - bd - d) q^3
+    rng = random.Random(1407)
+    for _ in range(300):
+        a, b, d = _rationals(rng, 3)
+        t = recurrence_polynomial(a, b, d, 4)
+        assert t[0] * t[2] - t[1] * t[1] == QPoly(0, b * d * d), (a, b, d)
+        assert t[1] * t[3] - t[2] * t[2] == QPoly(
+            0,
+            a * b * b * d * d * (a * b + d),
+            2 * a * b**3 * d * d * (d - a),
+            b * b * d * d * (a - d) * (a * b - b * d - d),
+        ), (a, b, d)
+
+
+def test_rows_outside_the_region_are_not_q_log_convex():
+    # d > 0: b < 0 makes the q coefficient of T_0T_2 - T_1^2 negative; b > 0 with a < 0
+    # or a > d makes the q^2 coefficient of T_1T_3 - T_2^2 negative
+    rng = random.Random(2013)
+    seen = 0
+    while seen < 200:
+        a, b, d = _rationals(rng, 3)
+        if d <= 0 or b == 0 or (b > 0 and 0 <= a <= d):
+            continue
+        seen += 1
+        t = recurrence_polynomial(a, b, d, 8)
+        plain, strong = check_q_log_convex(t), check_strong_q_log_convex(t)
+        assert not plain.verdict and not strong.verdict, (a, b, d)
+        if b < 0:
+            assert (t[0] * t[2] - t[1] * t[1]).coeffs[1] == b * d * d < 0
+            assert plain.witnesses[0] == (1, 1, 1)
+        else:
+            named = (t[1] * t[3] - t[2] * t[2]).coeffs[2]
+            assert named == 2 * a * b**3 * d * d * (d - a) < 0
+            assert next(k for n, _, k in plain.witnesses if n == 2) <= 2
 
 
 # -- transforms ------------------------------------------------------------------------

@@ -87,12 +87,11 @@ def test_conjecture_loads_convexity_but_not_jacobi():
 
 
 @pytest.mark.parametrize("mode", ["qlcx", "strong", "zhu"])
-def test_check_loads_jacobi_only_for_zhu(mode):
-    # qlcx and strong read the rows from the triangle; only zhu reads the weights
+def test_check_loads_no_jacobi_in_any_mode(mode):
+    # qlcx and strong read the rows from the triangle, zhu the closed-form weights as integers
     size = ("--imax", "2") if mode == "zhu" else ("--nmax", "4")
     loaded = _loaded("check", "--family", "TypeB", "--mode", mode, *size)
-    jacobi = {"jacobi"} if mode == "zhu" else set()
-    assert loaded == {"algebra", "families", "cli", "cmd_check", "convexity"} | jacobi
+    assert loaded == {"algebra", "families", "cli", "cmd_check", "convexity"}
 
 
 _ENTRY_CHILD = """
