@@ -6,8 +6,8 @@ triangle (``families.recurrence_polynomial``, O(nmax^2) integer work),
 not from the Motzkin path sum of the weights (O(nmax^3)).  ``QPoly``'s
 form is canonical, so the output is the same byte for byte; no route
 changes, and the tests still pin the triangle to the EGF and cfrac rows.
-``zhu`` reads the closed-form weights as integers
-(``convexity._weight_criterion``, O(imax) integer work), builds no
+``zhu`` reads the closed-form weights as integers over den for s and
+den^2 for t (``convexity._weight_criterion``, O(imax) work), builds no
 ``JFraction`` and imports no ``jacobi``; its report is the one
 ``moment_convexity_criterion`` gives on the same weights.
 """

@@ -17,10 +17,11 @@ is reported separately instead of being silently assumed.
 
 ``moment_convexity_criterion`` takes any ``JFraction``.  For the
 closed-form family weights of EGF parameters (a, b, d),
-``_weight_criterion`` gives the same report from integer sign tests,
-with no ``QPoly`` and no ``jacobi``: it is ``check --mode zhu``.
-``weight_gap`` expands that gap at one i, together with the simpler
-quadratic that is claimed to bound it from below.
+``_weight_criterion`` gives the same report from integer sign tests
+over den for s and den^2 for t (``families._weight_forms``), with no
+``QPoly`` and no ``jacobi``: it is ``check --mode zhu``.  ``weight_gap``
+expands that gap at one i, and the simpler quadratic claimed to bound
+it from below, from the same integers.
 
 ``transform_log_convexity_experiment`` gathers evidence for two open
 conjectures: applying either Eulerian triangle to a log-convex input
@@ -170,34 +171,32 @@ def moment_convexity_criterion(jf: JFraction, i_max: int) -> CriterionReport:
 
 
 def _gaps(forms: tuple[int, ...], indices: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """For each i of ``indices``, the numerators of s_i s_{i+1} - t_{i+1} over den^2 tden > 0.
+    """For each i of ``indices``, the numerators of s_i s_{i+1} - t_{i+1} over den^2 > 0.
 
     ``forms`` is ``families._weight_forms(a, b, d)``; this is the one place
     the closed-form gap is written.
     """
-    den, step, s0, s1, tden, tstep, t0 = forms
-    den2 = den * den
+    _, step, s0, s1 = forms
     for i in indices:
         c0, c1 = step * i + s0, step * i + s1  # s_i
         n0, n1 = c0 + step, c1 + step  # s_{i+1}
-        t = (i + 1) * (tstep * i + t0)  # t_{i+1}
-        yield c0 * n0 * tden, (c0 * n1 + c1 * n0) * tden - t * den2, c1 * n1 * tden
+        t = (i + 1) * step * (step * i + s0 + s1)  # t_{i+1}
+        yield c0 * n0, c0 * n1 + c1 * n0 - t, c1 * n1
 
 
 def _weight_criterion(a: Rat | str, b: Rat | str, d: Rat | str, i_max: int) -> CriterionReport:
     """``moment_convexity_criterion(jfraction_from_params(a, b, d, i_max + 2), i_max)``, on ints.
 
-    The closed-form weights are affine in i, so over their positive
-    denominators (``families._weight_forms``) each test is a sign test on
-    integers: s_j has two linear numerators, t_j one quadratic, and the
-    gap at i three quadratics (``_gaps``).  No ``QPoly`` is built, and the
-    report, equal to the ``JFraction`` one in every field, costs O(i_max)
-    integer operations.
+    Over den for s and den^2 for t and the gap (``families._weight_forms``),
+    each test is a sign test on integers: s_j has two linear numerators,
+    t_j one quadratic, and the gap at i three quadratics (``_gaps``).  No
+    ``QPoly`` is built, and the report, equal to the ``JFraction`` one in
+    every field, costs O(i_max) integer operations.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     forms = _weight_forms(a, b, d)
-    _, step, s0, s1, _, tstep, t0 = forms
+    _, step, s0, s1 = forms
     gaps = enumerate(_gaps(forms, range(1, i_max + 1)), 1)
     witnesses = tuple(
         (i, i + 1, next(k for k, c in enumerate(g) if c < 0)) for i, g in gaps if min(g) < 0
@@ -208,7 +207,7 @@ def _weight_criterion(a: Rat | str, b: Rat | str, d: Rat | str, i_max: int) -> C
             for j in range(i_max + 2)
             if (c0 := step * j + s0) < 0 or step * j + s1 < 0
         ),
-        *(("t", j, 1) for j in range(1, i_max + 2) if j * (tstep * (j - 1) + t0) < 0),
+        *(("t", j, 1) for j in range(1, i_max + 2) if j * step * (step * (j - 1) + s0 + s1) < 0),
     )
     return CriterionReport(
         verdict=not witnesses,
@@ -234,23 +233,21 @@ def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
         (di+ab)(di+d+ab) + (ab^2 d - a^2 b^2) q
                          + (di+bd-ab)(di+d+bd-ab) q^2,
 
-    and ``bound_is_lower`` records whether gap - bound >=_q 0.  As
+    the gap with s0 s1 / den^2 (``_weight_forms``) as its q coefficient;
+    ``bound_is_lower`` records whether gap - bound >=_q 0.  As
 
         gap - bound = q (d^2 i (i + 1 + b) + a b^2 (d - a)),
 
-    it is whenever b >= 0 and d >= a >= 0.
+    it is whenever b >= 0 and d >= a >= 0.  The index must be an ``int``.
     """
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise TypeError(f"i must be an int, not {type(i).__name__}")
     if i < 0:
         raise ValueError("i must be >= 0")
-    fa, fb, fd = as_fraction(a), as_fraction(b), as_fraction(d)
-    forms = _weight_forms(fa, fb, fd)
-    den, tden = forms[0], forms[4]
-    gap = _from_parts(list(next(_gaps(forms, [i]))), den * den * tden)
-    bound = QPoly(
-        (fd * i + fa * fb) * (fd * i + fd + fa * fb),
-        fa * fb * fb * fd - fa * fa * fb * fb,
-        (fd * i + fb * fd - fa * fb) * (fd * i + fd + fb * fd - fa * fb),
-    )
+    forms = _weight_forms(a, b, d)
+    den, _, s0, s1 = forms
+    g0, g1, g2 = next(_gaps(forms, [i]))
+    gap, bound = _from_parts([g0, g1, g2], den * den), _from_parts([g0, s0 * s1, g2], den * den)
     lower = _first_drop(gap, bound) is None
     return GapResult(gap=gap, reference_bound=bound, bound_is_lower=lower)
 

@@ -97,13 +97,15 @@ def jfraction_from_params(a, b, d, depth: int) -> JFraction:
         t_{i+1} = d^2 (i + 1)(i + b) q
 
     Each weight is built from the integer numerators of
-    ``families._weight_forms``.
+    ``families._weight_forms``: s_i over den, t_{i+1} over den^2.
     """
-    den, step, s0, s1, tden, tstep, t0 = _weight_forms(a, b, d)
+    den, step, s0, s1 = _weight_forms(a, b, d)
     if depth < 1:
         raise ValueError("depth must be positive")
     s = tuple(_from_parts([step * i + s0, step * i + s1], den) for i in range(depth))
-    t = tuple(_from_parts([0, (i + 1) * (tstep * i + t0)], tden) for i in range(depth - 1))
+    t = tuple(
+        _from_parts([0, (i + 1) * step * (step * i + s0 + s1)], den * den) for i in range(depth - 1)
+    )
     return JFraction(s, t)
 
 

@@ -328,6 +328,25 @@ def test_weight_gap_matches_raw_weights_on_a_grid():
                 for i in range(4):
                     got = weight_gap(i, a, b, d)
                     assert got.gap == jf.s[i] * jf.s[i + 1] - jf.t[i]
+    # and against the closed form written here in Fraction arithmetic, on random
+    # rational a, b, d with negative values and zeros, d = 0 among them
+    rng = random.Random(27)
+    for _ in range(300):
+        a, b, d = (Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in "abd")
+        i = rng.randint(0, 12)
+
+        def s(j):
+            return QPoly(d * j + a * b, d * j + b * d - a * b)
+
+        t = QPoly(0, d * d * (i + 1) * (i + b))
+        bound = QPoly(
+            (d * i + a * b) * (d * i + d + a * b),
+            a * b * b * d - a * a * b * b,
+            (d * i + b * d - a * b) * (d * i + d + b * d - a * b),
+        )
+        got = weight_gap(i, a, b, d)
+        assert got.gap == s(i) * s(i + 1) - t, (a, b, d, i)
+        assert got.reference_bound == bound, (a, b, d, i)
 
 
 def test_weight_gap_unit_case_and_bound():
@@ -367,6 +386,14 @@ def test_weight_gap_minus_bound_is_the_stated_identity():
 def test_weight_gap_rejects_negative_index():
     with pytest.raises(ValueError):
         weight_gap(-1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("i", [Fraction(3, 2), 1.5, Fraction(2), True])
+def test_weight_gap_rejects_an_index_that_is_not_an_int(i):
+    with pytest.raises(TypeError):
+        weight_gap(i, 1, 1, 1)
+    with pytest.raises(TypeError):
+        weight_gap(i, 1, 1, Fraction(1, 2))
 
 
 # -- the region is exact: two identities of the rows give the converse ---------------
