@@ -15,7 +15,7 @@ import sys
 
 __version__ = "0.1.0"
 
-#: Home module of each public name, in ``__all__`` order.
+#: Home module of each public name, in ``__all__`` order; each row is that module's ``__all__``.
 _EXPORTS = {
     "algebra": ("QPoly", "as_fraction", "parse_rational", "poly_divmod", "poly_gcd"),
     "ratfun": ("QRatFun",),

@@ -57,19 +57,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, lt
 
-__all__ = [
-    "Rat",
-    "parse_rational",
-    "as_fraction",
-    "QPoly",
-    "as_qpoly",
-    "poly_divmod",
-    "poly_dot",
-    "poly_gcd",
-    "ZERO",
-    "ONE",
-    "Q",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["algebra"])
 
 Rat = int | Fraction
 
@@ -84,6 +74,8 @@ def parse_rational(text: str) -> Fraction:
     inside the literal, and non-positive denominators are all rejected:
     inputs are either exact or refused.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"cannot parse {type(text).__name__} as a rational literal")
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not an exact rational literal: {text!r}")

@@ -40,6 +40,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from . import _EXPORTS
 from .algebra import (
     ZERO,
     QPoly,
@@ -56,29 +57,15 @@ from .families import _weight_forms, eulerian_rows
 if TYPE_CHECKING:
     from .jacobi import JFraction
 
-__all__ = [
-    "Witness",
-    "ConvexityReport",
-    "CriterionReport",
-    "GapResult",
-    "Triangle",
-    "TransformReport",
-    "check_q_log_convex",
-    "check_strong_q_log_convex",
-    "moment_convexity_criterion",
-    "weight_gap",
-    "transform_log_convexity_experiment",
-    "BUILTIN_SEQUENCES",
-    "builtin_sequence",
-]
-
-#: (m, n, k): comparing indices m <= n, coefficient k of the difference
-#: f_{m-1} f_{n+1} - f_m f_n is the first negative one.
-Witness = tuple[int, int, int]
+__all__ = list(_EXPORTS["convexity"])
 
 
 class ConvexityReport(namedtuple("ConvexityReport", "verdict witnesses checked_range")):
-    """Outcome of a (strong) q-log-convexity check with evidence."""
+    """Outcome of a (strong) q-log-convexity check with evidence.
+
+    Each witness (m, n, k), m <= n, says that coefficient k of
+    f_{m-1} f_{n+1} - f_m f_n is its first negative one.
+    """
 
     __slots__ = ()
 

@@ -22,19 +22,10 @@ from collections import deque, namedtuple
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+from . import _EXPORTS
 from .algebra import ONE, Q, QPoly, Rat, _common_denominator, as_fraction
 
-__all__ = [
-    "Family",
-    "FamilySpec",
-    "family_egf_params",
-    "eulerian_rows",
-    "eulerian_numbers_type_a",
-    "eulerian_numbers_type_b",
-    "type_b_polynomial",
-    "enumeration_polynomial",
-    "recurrence_polynomial",
-]
+__all__ = list(_EXPORTS["families"])
 
 
 class Family(enum.Enum):

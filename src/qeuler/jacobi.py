@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Sequence
 
+from . import _EXPORTS
 from .algebra import (
     ONE,
     QPoly,
@@ -55,16 +56,7 @@ from .algebra import (
 )
 from .families import _weight_forms
 
-__all__ = [
-    "JFraction",
-    "NonQuasiDefiniteError",
-    "jfraction_from_params",
-    "moments_by_motzkin_paths",
-    "moments_by_cfrac_expansion",
-    "orthogonal_basis",
-    "verify_orthogonality",
-    "jfraction_from_moments",
-]
+__all__ = list(_EXPORTS["jacobi"])
 
 
 class NonQuasiDefiniteError(ValueError):

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _EXPORTS
 from .algebra import ONE, ZERO, Q, QPoly, as_qpoly, poly_divmod, poly_gcd
 
-__all__ = ["QRatFun", "RF_ZERO", "RF_ONE", "RF_Q"]
+__all__ = list(_EXPORTS["ratfun"])
 
 
 def _poly_exact_div(f: QPoly, g: QPoly) -> QPoly:

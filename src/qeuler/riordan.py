@@ -42,19 +42,11 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
+from . import _EXPORTS
 from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, as_qpoly, poly_dot
 from .series import TruncSeries, _egf_series_and_exp_d, compose_all
 
-__all__ = [
-    "ExpRiordan",
-    "ProductionData",
-    "exp_riordan_from_params",
-    "riordan_matrix",
-    "lower_tri_inverse",
-    "production_series",
-    "production_matrix_from_series",
-    "production_matrix_direct",
-]
+__all__ = list(_EXPORTS["riordan"])
 
 
 class ExpRiordan(namedtuple("ExpRiordan", "g f")):

@@ -25,9 +25,10 @@ so each quotient the expansion needs lies in Q[q].
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, as_qpoly, poly_divmod, poly_dot
 
-__all__ = ["TruncSeries", "compose_all", "egf_series", "egf_polynomials"]
+__all__ = list(_EXPORTS["series"])
 
 
 class TruncSeries:

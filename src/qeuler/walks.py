@@ -29,16 +29,10 @@ from itertools import pairwise, permutations, product
 from math import factorial
 from typing import Sequence
 
+from . import _EXPORTS
 from .algebra import Q, QPoly, Rat, as_fraction
 
-__all__ = [
-    "DESCENT_CAP",
-    "SIGNED_CAP",
-    "descent_polynomial",
-    "excedance_cycle_polynomial",
-    "signed_descent_polynomial",
-    "t_zero_comparison_table",
-]
+__all__ = list(_EXPORTS["walks"])
 
 #: Hard ceilings for the exhaustive walks: 8! and 2^7 * 7! group elements.
 DESCENT_CAP = 8

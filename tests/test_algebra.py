@@ -52,6 +52,16 @@ def test_parse_rational_rejects_inexact_or_malformed(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("value", [1, None, 1.0, True, b"1"])
+def test_parse_rational_refuses_non_strings_by_type(value):
+    # "cannot use a string pattern on a bytes-like object" does not name bytes as the input's type
+    message = f"cannot parse {type(value).__name__} as"
+    with pytest.raises(TypeError, match=message):
+        parse_rational(value)
+    with pytest.raises(TypeError, match=message):
+        QPoly.from_json([value])
+
+
 def test_as_fraction_refuses_floats_and_bools():
     assert as_fraction(5) == 5
     assert as_fraction(Fraction(2, 7)) == Fraction(2, 7)
