@@ -5,19 +5,17 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from . import cli
+from . import cli, convexity
 
-#: ``sorted(convexity.BUILTIN_SEQUENCES)``, written out so that building the
-#: parser does not import ``convexity``.
-_BUILTIN_SEQUENCE_NAMES = ("catalan", "factorial", "motzkin", "ones", "powers2")
+_BUILTIN_NAMES = ", ".join(sorted(convexity.BUILTIN_SEQUENCES))
 
 
 def add_arguments(parser) -> None:
-    parser.add_argument("--triangle", required=True, choices=("A", "B"))
     parser.add_argument(
-        "--seq",
-        required=True,
-        help="builtin name (%s) or a JSON file of rationals" % ", ".join(_BUILTIN_SEQUENCE_NAMES),
+        "--triangle", required=True, choices=tuple(t.value for t in convexity.Triangle)
+    )
+    parser.add_argument(
+        "--seq", required=True, help=f"builtin name ({_BUILTIN_NAMES}) or a JSON file of rationals"
     )
     parser.add_argument(
         "--nmax", type=cli._positive_int, default=12, help="test z_1..z_{nmax-1}"
@@ -25,21 +23,14 @@ def add_arguments(parser) -> None:
 
 
 def _load_sequence(seq: str, count: int) -> list[Fraction]:
-    from . import convexity
-
     if seq in convexity.BUILTIN_SEQUENCES:
         return convexity.builtin_sequence(seq, count)
     if not os.path.exists(seq):
-        raise ValueError(
-            f"{seq!r} is neither a builtin sequence "
-            f"({', '.join(sorted(convexity.BUILTIN_SEQUENCES))}) nor a file"
-        )
+        raise ValueError(f"{seq!r} is neither a builtin sequence ({_BUILTIN_NAMES}) nor a file")
     return [cli._exact(v) for v in cli._json_array(seq, "x", "sequence")]
 
 
 def run(args):
-    from . import convexity
-
     triangle = convexity.Triangle(args.triangle)
     xs = _load_sequence(args.seq, args.nmax + 1)
     report = convexity.transform_log_convexity_experiment(triangle, xs, args.nmax)

@@ -25,11 +25,9 @@ def add_arguments(parser) -> None:
 
 
 def _instances(clamp: int | None) -> Iterator[tuple[FamilySpec, int]]:
-    from . import walks
-
     for family in Family:
         names, _, walk = families._FAMILIES[family]
-        cap = 10 if walk is None else getattr(walks, walk[0])  # General has no walk
+        cap = 10 if walk is None else walk[0]  # General has no walk
         for values in _GRIDS[names]:
             yield FamilySpec(family, **dict(zip(names, values))), min(cap, clamp or cap)
 

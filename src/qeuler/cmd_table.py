@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from . import cli, families
 
+#: The most rows ``egf`` and ``cfrac`` build.  Their coefficient work grows about
+#: as n^4: TypeB egf takes about 6 s at 140 rows and 25 s at 200.
+_SERIES_MAX_ROWS = 150
+
 
 def add_arguments(parser) -> None:
     cli._add_family_flags(parser)
@@ -19,6 +23,9 @@ def add_arguments(parser) -> None:
 
 
 def run(args):
+    if args.route in ("egf", "cfrac") and args.nmax > _SERIES_MAX_ROWS:
+        what = f"table --route {args.route}"
+        raise ValueError(f"{what} builds at most {_SERIES_MAX_ROWS} rows, got --nmax {args.nmax}")
     spec, _, config = cli._family(args)
     rows = families._ROUTES[args.route](spec, args.nmax)
     config |= {"nmax": args.nmax, "route": args.route}

@@ -3,8 +3,9 @@
 Every family is a specialization of the EGF parameter triple (a, b, d).
 The table ``_FAMILIES`` is the one place a family is declared: which of
 t, a and d it takes, its triple as a function of them, and its group
-walk.  ``FamilySpec``, its label, ``family_egf_params``, the
-enumeration route and the command line all read it.
+walk with that walk's fixed cap.  ``FamilySpec``, its label,
+``family_egf_params``, the enumeration route, ``selftest`` and the
+command line all read it; ``walks`` reads the caps.
 
 Every family's recurrence route is one integer triangle, ``eulerian_rows``,
 on the linear forms (ab, bd, d); type A is (1, 1, 1) and type B (1, 2, 2).
@@ -37,29 +38,33 @@ class Family(enum.Enum):
     GENERAL = "General"
 
 
+#: The fixed ceilings of the exhaustive walks: 8! and 2^7 * 7! group elements.
+DESCENT_CAP = 8
+SIGNED_CAP = 7
+
 #: The one place a family is declared: its parameters in print order, its
 #: (a, b, d) as a function of them, and its group walk or None.  A walk is
-#: the name of its cap in ``walks`` and its row n aligned to the EGF, as a
-#: function of the ``walks`` module, n and the parameters.
-_FAMILIES: dict[Family, tuple[tuple[str, ...], Callable, tuple[str, Callable] | None]] = {
+#: its cap and its row n aligned to the EGF, as a function of the ``walks``
+#: module, n and the parameters.
+_FAMILIES: dict[Family, tuple[tuple[str, ...], Callable, tuple[int, Callable] | None]] = {
     Family.TYPE_A_SHIFTED: (  # descent polynomials of S_n
-        (), lambda: (1, 1, 1), ("DESCENT_CAP", lambda w, n: w.descent_polynomial(n))
+        (), lambda: (1, 1, 1), (DESCENT_CAP, lambda w, n: w.descent_polynomial(n))
     ),
     Family.TYPE_A: (  # q * descent polynomial (n >= 1)
-        (), lambda: (0, 1, 1), ("DESCENT_CAP", lambda w, n: Q * w.descent_polynomial(n))
+        (), lambda: (0, 1, 1), (DESCENT_CAP, lambda w, n: Q * w.descent_polynomial(n))
     ),
     Family.TYPE_A_QT: (  # excedances marked by q, cycles by t; the walk has an extra q
         ("t",),
         lambda t: (1, t, 1),
-        ("DESCENT_CAP", lambda w, n, t: w.excedance_cycle_polynomial(n, t).divide_by_q()),
+        (DESCENT_CAP, lambda w, n, t: w.excedance_cycle_polynomial(n, t).divide_by_q()),
     ),
     Family.TYPE_B: (  # descent polynomials of signed permutations
-        (), lambda: (1, 1, 2), ("SIGNED_CAP", lambda w, n: w.signed_descent_polynomial(n, 1))
+        (), lambda: (1, 1, 2), (SIGNED_CAP, lambda w, n: w.signed_descent_polynomial(n, 1))
     ),
     Family.TYPE_B_QT: (  # signed descents, negatives marked by t
         ("t",),
         lambda t: (1, 1, 1 + t),
-        ("SIGNED_CAP", lambda w, n, t: w.signed_descent_polynomial(n, t)),
+        (SIGNED_CAP, lambda w, n, t: w.signed_descent_polynomial(n, t)),
     ),
     Family.GENERAL: (("a", "d"), lambda a, d: (a, 1, d), None),  # the (a, d) Eulerian triangle
 }
@@ -197,8 +202,8 @@ def enumeration_polynomial(spec: FamilySpec, count: int) -> list[QPoly]:
         return recurrence_polynomial(spec.a, 1, spec.d, count)
     from . import walks
 
-    cap_name, row = walk
-    cap, params = getattr(walks, cap_name), spec.params.values()
+    cap, row = walk
+    params = spec.params.values()
     if count - 1 > cap:
         row(walks, cap + 1, *params)  # raises the error an upward walk would meet, walking no group
     return [ONE, *(row(walks, n, *params) for n in range(1, count))][:count]

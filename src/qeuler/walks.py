@@ -16,27 +16,31 @@ The signed walk does this once per sign set, 2^n·n! elements in all:
 ``bytes.translate`` puts each element's signed letters in place of its
 indices.
 
+Each cached walk returns one shape, the sorted (power of q, power of t,
+count) triples of its distribution, with the excedance walk's
+conventional extra q already in its powers of q.  One builder,
+``_walk_polynomial``, checks the walk's fixed cap, weights each triple
+by t and builds the ``QPoly``.
+
 Only ``table --route enum`` (for every family but General) and
 ``selftest`` import this module: ``families`` imports it when it runs a
-family's walk, which ``families._FAMILIES`` names with its cap.
+family's walk, and declares the caps in ``_FAMILIES``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
 from itertools import pairwise, permutations, product
 from math import factorial
+from operator import gt
 from typing import Sequence
 
 from . import _EXPORTS
 from .algebra import Q, QPoly, Rat, as_fraction
+from .families import DESCENT_CAP, SIGNED_CAP
 
 __all__ = list(_EXPORTS["walks"])
-
-#: Hard ceilings for the exhaustive walks: 8! and 2^7 * 7! group elements.
-DESCENT_CAP = 8
-SIGNED_CAP = 7
 
 
 def _descent_tally(columns: Sequence[bytes]) -> bytes:
@@ -68,28 +72,24 @@ def _index_columns(n: int) -> list[bytes]:
 
 
 @lru_cache(maxsize=None)
-def _descent_counts(n: int) -> tuple[int, ...]:
+def _descent_counts(n: int) -> tuple[tuple[int, int, int], ...]:
     des = _descent_tally(_index_columns(n))
-    return tuple(map(des.count, range(n)))
+    return tuple((d, 0, des.count(d)) for d in range(n))
 
 
 @lru_cache(maxsize=None)
 def _exc_cycle_counts(n: int) -> tuple[tuple[int, int, int], ...]:
-    counts: dict[tuple[int, int], int] = {}
-    for pi in permutations(range(1, n + 1)):
-        exc = sum(v > i for i, v in enumerate(pi, start=1))
+    counts: Counter[tuple[int, int]] = Counter()
+    for pi in permutations(range(n)):
         seen = [False] * n
         cyc = 0
         for start in range(n):
-            if seen[start]:
-                continue
-            cyc += 1
+            cyc += not seen[start]
             j = start
             while not seen[j]:
                 seen[j] = True
-                j = pi[j] - 1
-        key = (exc, cyc)
-        counts[key] = counts.get(key, 0) + 1
+                j = pi[j]
+        counts[sum(map(gt, pi, range(n))) + 1, cyc] += 1
     return tuple(sorted((e, c, m) for (e, c), m in counts.items()))
 
 
@@ -100,50 +100,45 @@ def _signed_descent_counts(n: int) -> tuple[tuple[int, int, int], ...]:
     # letter v is stored as the byte v + n, which keeps the order of letters.
     columns = _index_columns(n)
     sentinel = bytes([n]) * factorial(n)
-    counts: dict[tuple[int, int], int] = {}
+    counts: Counter[tuple[int, int]] = Counter()
     for signs in product((1, -1), repeat=n):
         letters = bytes(n + s * b for s, b in zip(signs, range(1, n + 1))).ljust(256, b"\0")
         des = _descent_tally([sentinel, *(c.translate(letters) for c in columns)])
         neg = signs.count(-1)
         for d in range(n + 1):
             if m := des.count(d):
-                counts[d, neg] = counts.get((d, neg), 0) + m
+                counts[d, neg] += m
     return tuple(sorted((d, g, m) for (d, g), m in counts.items()))
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if not 1 <= n <= cap:
-        raise ValueError(f"{what} enumerates groups only for 1 <= n <= {cap}, got {n}")
+def _walk_polynomial(what: str, limit: int, walk, n: int, t: Rat | str = 1) -> QPoly:
+    """sum of count q^i t^k over the (i, k, count) triples of WALK at n, for 1 <= n <= LIMIT."""
+    if not 1 <= n <= limit:
+        raise ValueError(f"{what} enumerates groups only for 1 <= n <= {limit}, got {n}")
+    ft = as_fraction(t)
+    coeffs = [0] * (n + 1)
+    for i, k, count in walk(n):
+        coeffs[i] += count * ft**k
+    return QPoly(*coeffs)
 
 
-def descent_polynomial(n: int, cap: int = DESCENT_CAP) -> QPoly:
+def descent_polynomial(n: int) -> QPoly:
     """sum over S_n of q^{des(pi)}, by exhaustive walk."""
-    _check_cap(n, cap, "descent_polynomial")
-    return QPoly(*_descent_counts(n))
+    return _walk_polynomial("descent_polynomial", DESCENT_CAP, _descent_counts, n)
 
 
-def excedance_cycle_polynomial(n: int, t: Rat | str, cap: int = DESCENT_CAP) -> QPoly:
+def excedance_cycle_polynomial(n: int, t: Rat | str) -> QPoly:
     """sum over S_n of q^{exc(pi)+1} t^{cyc(pi)}.
 
     Note the conventional extra factor q: at t = 1 this is q times the
     descent polynomial, not the descent polynomial itself.
     """
-    _check_cap(n, cap, "excedance_cycle_polynomial")
-    ft = as_fraction(t)
-    coeffs = [Fraction(0)] * (n + 1)
-    for exc, cyc, count in _exc_cycle_counts(n):
-        coeffs[exc + 1] += count * ft**cyc
-    return QPoly(*coeffs)
+    return _walk_polynomial("excedance_cycle_polynomial", DESCENT_CAP, _exc_cycle_counts, n, t)
 
 
-def signed_descent_polynomial(n: int, t: Rat | str, cap: int = SIGNED_CAP) -> QPoly:
+def signed_descent_polynomial(n: int, t: Rat | str) -> QPoly:
     """sum over signed permutations of q^{des(w)} t^{neg(w)}, sentinel w(0)=0."""
-    _check_cap(n, cap, "signed_descent_polynomial")
-    ft = as_fraction(t)
-    coeffs = [Fraction(0)] * (n + 1)
-    for des, neg, count in _signed_descent_counts(n):
-        coeffs[des] += count * ft**neg
-    return QPoly(*coeffs)
+    return _walk_polynomial("signed_descent_polynomial", SIGNED_CAP, _signed_descent_counts, n, t)
 
 
 def t_zero_comparison_table(nmax: int = 6) -> list[dict]:

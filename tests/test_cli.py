@@ -117,6 +117,30 @@ def test_over_cap_enum_table_is_refused_before_any_walk(capsys, monkeypatch, fam
     assert json.loads(err) == {"error": error}
 
 
+@pytest.mark.parametrize("nmax", ["151", "1" + "0" * 32])
+@pytest.mark.parametrize("route", ["egf", "cfrac"])
+def test_series_table_past_150_rows_is_refused_before_any_row(capsys, monkeypatch, route, nmax):
+    def no_rows(spec, count):
+        raise AssertionError(f"built {count} rows")
+
+    monkeypatch.setitem(families._ROUTES, route, no_rows)
+    code, out, err = run_cli(capsys, "table", "--family", "TypeB", "--nmax", nmax, "--route", route)
+    assert (code, out) == (2, "")
+    error = f"table --route {route} builds at most 150 rows, got --nmax {nmax}"
+    assert json.loads(err) == {"error": error}
+
+
+@pytest.mark.parametrize("route,nmax", [("egf", 150), ("cfrac", 150), ("recurrence", 151)])
+def test_150_series_rows_and_151_recurrence_rows_pass_the_guard(capsys, monkeypatch, route, nmax):
+    # the route is a stub, so only the guard runs
+    monkeypatch.setitem(families._ROUTES, route, lambda spec, count: [1] * count)
+    code, payload = run_json(
+        capsys, "table", "--family", "TypeB", "--nmax", str(nmax), "--route", route
+    )
+    assert code == 0
+    assert payload["result"]["rows"] == [1] * nmax
+
+
 @pytest.mark.parametrize(
     "flags,triple",
     [

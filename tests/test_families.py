@@ -1,6 +1,7 @@
 """Combinatorial routes: descents, excedances, signed permutations, triangles."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -135,8 +136,6 @@ def test_descent_polynomials_match_known_rows():
 
 
 def test_descent_polynomial_counts_all_permutations():
-    import math
-
     for n in range(1, 7):
         assert descent_polynomial(n)(Fraction(1)) == math.factorial(n)
 
@@ -147,6 +146,19 @@ def test_excedance_polynomial_hand_case():
     assert excedance_cycle_polynomial(3, 1) == QPoly(0, 1, 4, 1)
     assert excedance_cycle_polynomial(3, 2) == QPoly(0, 8, 14, 2)
     assert excedance_cycle_polynomial(3, 0) == QPoly()
+
+
+@pytest.mark.parametrize("n", range(1, DESCENT_CAP + 1))
+def test_excedances_and_descents_are_equidistributed(n):
+    # the walk carries the conventional extra q
+    assert excedance_cycle_polynomial(n, 1) == Q * descent_polynomial(n)
+
+
+@pytest.mark.parametrize("n", range(1, DESCENT_CAP + 1))
+def test_cycles_follow_the_stirling_numbers_of_the_first_kind(n):
+    # sum over S_n of t^cyc is the rising factorial t (t + 1) .. (t + n - 1)
+    for t in range(4):
+        assert excedance_cycle_polynomial(n, t)(Fraction(1)) == math.prod(range(t, t + n))
 
 
 def test_signed_descents_small_groups():
@@ -169,8 +181,6 @@ def test_enumeration_caps_are_enforced():
         descent_polynomial(DESCENT_CAP + 1)
     with pytest.raises(ValueError):
         signed_descent_polynomial(SIGNED_CAP + 1, 1)
-    # an explicit cap raises the limit
-    assert descent_polynomial(3, cap=3) == QPoly(1, 4, 1)
 
 
 # -- integer triangles ---------------------------------------------------------------
@@ -183,7 +193,7 @@ def test_type_a_triangle_rows():
     assert eulerian_numbers_type_a(2) == [1, 1, 0]
     assert eulerian_numbers_type_a(4) == [1, 11, 11, 1, 0]
     for n in range(1, 7):
-        assert descent_polynomial(n, cap=8) == QPoly(*eulerian_numbers_type_a(n))
+        assert descent_polynomial(n) == QPoly(*eulerian_numbers_type_a(n))
 
 
 def test_type_b_triangle_rows():
@@ -193,8 +203,6 @@ def test_type_b_triangle_rows():
     assert eulerian_numbers_type_b(3) == [1, 23, 23, 1]
     assert eulerian_numbers_type_b(4) == [1, 76, 230, 76, 1]
     # row sums count the full hyperoctahedral group
-    import math
-
     for n in range(8):
         assert sum(eulerian_numbers_type_b(n)) == 2**n * math.factorial(n)
 
@@ -213,7 +221,7 @@ def test_type_b_recurrence_matches_triangle_and_enumeration():
 def test_general_polynomial_unit_parameters_recover_descents():
     rows = recurrence_polynomial(1, 1, 1, 7)
     for n in range(1, 7):
-        assert rows[n] == descent_polynomial(n, cap=8)
+        assert rows[n] == descent_polynomial(n)
 
 
 def test_general_polynomial_first_rows():

@@ -124,6 +124,15 @@ def test_installed_script_runs_the_module_entry_point():
     assert callable(importlib.import_module("qeuler.__main__").run)
 
 
+def test_the_package_version_is_declared_once():
+    # the distribution's version is read from qeuler.__version__, which the JSON envelope reports
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "qeuler.__version__"}
+
+
 def test_cli_main_leaves_the_collector_as_it_was(capsys):
     # only the process entry point freezes: library callers keep their GC state
     before = gc.get_freeze_count()
@@ -219,7 +228,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_conjecture_seq_help_names_the_builtin_sequences(capsys):
-    # the parser writes these names out so that it need not import convexity
+    # the parser reads these names from convexity
     assert cli.main(["conjecture", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     names = re.search(r"builtin name \(([^)]*)\) or a JSON file of rationals", text)
