@@ -1,9 +1,6 @@
 import gc
 import sys
 
-# families imports algebra; loading both before cli lowers the command's peak
-# RSS by 0.1-0.3 MB (measured on Python 3.10-3.13)
-from . import families  # noqa: F401
 from .cli import main
 
 

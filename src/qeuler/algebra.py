@@ -263,13 +263,6 @@ class QPoly:
             n >>= 1
         return result
 
-    def __call__(self, point):
-        """Evaluate by Horner's rule; ``point`` may be any ring element."""
-        result: object = Fraction(0)
-        for c in reversed(self.coeffs):
-            result = result * point + c
-        return result
-
     # -- calculus and order structure -----------------------------------
 
     def derivative(self) -> "QPoly":

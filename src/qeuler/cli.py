@@ -73,6 +73,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _at_most(what: str, limit: int, unit: str, flag: str, value: int) -> None:
+    """Refuse (exit 2) a size flag above its fixed ceiling, before any work."""
+    if value > limit:
+        raise ValueError(f"{what} at most {limit} {unit}, got {flag} {value}")
+
+
 def _add_family_flags(
     parser: argparse.ArgumentParser, required: bool = True, what: str = "polynomial family"
 ) -> None:

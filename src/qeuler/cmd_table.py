@@ -23,9 +23,9 @@ def add_arguments(parser) -> None:
 
 
 def run(args):
-    if args.route in ("egf", "cfrac") and args.nmax > _SERIES_MAX_ROWS:
-        what = f"table --route {args.route}"
-        raise ValueError(f"{what} builds at most {_SERIES_MAX_ROWS} rows, got --nmax {args.nmax}")
+    if args.route in ("egf", "cfrac"):
+        what = f"table --route {args.route} builds"
+        cli._at_most(what, _SERIES_MAX_ROWS, "rows", "--nmax", args.nmax)
     spec, _, config = cli._family(args)
     rows = families._ROUTES[args.route](spec, args.nmax)
     config |= {"nmax": args.nmax, "route": args.route}

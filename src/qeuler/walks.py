@@ -37,7 +37,7 @@ from operator import gt
 from typing import Sequence
 
 from . import _EXPORTS
-from .algebra import Q, QPoly, Rat, as_fraction
+from .algebra import QPoly, Rat, as_fraction
 from .families import DESCENT_CAP, SIGNED_CAP
 
 __all__ = list(_EXPORTS["walks"])
@@ -140,26 +140,3 @@ def signed_descent_polynomial(n: int, t: Rat | str) -> QPoly:
     """sum over signed permutations of q^{des(w)} t^{neg(w)}, sentinel w(0)=0."""
     return _walk_polynomial("signed_descent_polynomial", SIGNED_CAP, _signed_descent_counts, n, t)
 
-
-def t_zero_comparison_table(nmax: int = 6) -> list[dict]:
-    """Compare the signed enumeration at t = 0 with the TypeA polynomial.
-
-    Folklore would suggest they coincide; in this normalization the
-    signed walk at t = 0 lands on the descent polynomial (the shifted
-    family), one factor of q below TypeA.  The table reports both plus
-    the observed relation, for every n up to nmax.
-    """
-    rows = []
-    for n in range(1, nmax + 1):
-        signed_t0 = signed_descent_polynomial(n, 0)
-        type_a = Q * descent_polynomial(n)
-        rows.append(
-            {
-                "n": n,
-                "signed_t0": signed_t0,
-                "type_a": type_a,
-                "equal": signed_t0 == type_a,
-                "type_a_is_q_times_signed_t0": type_a == Q * signed_t0,
-            }
-        )
-    return rows

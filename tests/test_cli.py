@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import qeuler.convexity as convexity
 import qeuler.families as families
 import qeuler.jacobi as jacobi
 import qeuler.walks as walks
+from qeuler.algebra import QPoly
 from qeuler.cli import _json_value, main
 from qeuler.families import eulerian_rows
 from qeuler.jacobi import JFraction
@@ -139,6 +141,64 @@ def test_150_series_rows_and_151_recurrence_rows_pass_the_guard(capsys, monkeypa
     )
     assert code == 0
     assert payload["result"]["rows"] == [1] * nmax
+
+
+_CEILINGS = [
+    # (argv before the size, size flag, ceiling, error before ", got")
+    (("check", "--family", "TypeB", "--mode", "strong"), "--nmax", 100,
+     "check --mode strong checks at most 100 rows"),
+    (("check", "--family", "TypeB", "--mode", "qlcx"), "--nmax", 240,
+     "check --mode qlcx checks at most 240 rows"),
+    (("check", "--family", "TypeB", "--mode", "zhu"), "--imax", 10_000_000,
+     "check --mode zhu checks at most 10000000 indices"),
+    (("conjecture", "--triangle", "B", "--seq", "motzkin"), "--nmax", 1000,
+     "conjecture transforms at most 1000 terms"),
+]
+
+
+def _no_compute(monkeypatch):
+    """Make every row, sequence and check of ``check`` and ``conjecture`` fail the test."""
+    def computed(*args):
+        raise AssertionError("computed past the ceiling")
+
+    monkeypatch.setattr(families, "recurrence_polynomial", computed)
+    for name in ("builtin_sequence", "check_q_log_convex", "check_strong_q_log_convex",
+                 "_weight_criterion", "transform_log_convexity_experiment"):
+        monkeypatch.setattr(convexity, name, computed)
+
+
+_CEILING_IDS = ["strong", "qlcx", "zhu", "conjecture"]
+
+
+@pytest.mark.parametrize("digits33", [False, True], ids=["ceiling+1", "33-digit"])
+@pytest.mark.parametrize("argv,flag,ceiling,error", _CEILINGS, ids=_CEILING_IDS)
+def test_sizes_past_the_ceiling_are_refused_before_any_work(
+    capsys, monkeypatch, argv, flag, ceiling, error, digits33
+):
+    _no_compute(monkeypatch)
+    value = "1" + "0" * 32 if digits33 else str(ceiling + 1)
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"{error}, got {flag} {value}"}
+
+
+@pytest.mark.parametrize("argv,flag,ceiling,error", _CEILINGS, ids=_CEILING_IDS)
+def test_the_ceiling_itself_passes_the_guard(capsys, monkeypatch, argv, flag, ceiling, error):
+    # the computations are stubs, so only the guard runs at the full size
+    report = convexity.check_q_log_convex([QPoly(1)] * 3)
+    criterion = convexity._weight_criterion(1, 1, 2, 2)
+    transform = convexity.transform_log_convexity_experiment(
+        convexity.Triangle.EULERIAN_B, convexity.builtin_sequence("motzkin", 4), 3
+    )
+    monkeypatch.setattr(families, "recurrence_polynomial", lambda a, b, d, n: [n])
+    monkeypatch.setattr(convexity, "builtin_sequence", lambda name, count: [count])
+    for name, value in (("check_q_log_convex", report), ("check_strong_q_log_convex", report),
+                        ("_weight_criterion", criterion),
+                        ("transform_log_convexity_experiment", transform)):
+        monkeypatch.setattr(convexity, name, lambda *args, value=value: value)
+    code, payload = run_json(capsys, *argv, flag, str(ceiling))
+    assert code == 0
+    assert payload["config"][flag[2:]] == ceiling
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ DIGESTS = {
     "orthogonal_polynomials.py": "f135a3031d407fa50c9e8825f3f3e25fb18da4950974c0c386c0f01cf1cfba7c",
     "production_matrix.py": "b0a256a0eff4fb39ea4b9d05ab64b03f0b2c93acf622f8da2132e32dd4dda16a",
     "three_routes.py": "83a9671dd89afa578e9b00b728e6c88bd2f996f4277d38bf9e644c417f351f48",
-    "transform_experiments.py": "b4a277e504051497d1503a1246f50dd8efd4f69e5f9b16f3c76173ad3bf84320",
+    "transform_experiments.py": "09f81d60e47f8a5df3dd7f95f80af2cbbcc4028c408dd2ad288ea99858e8ee88",
 }
 
 

@@ -116,7 +116,7 @@ def test_module_entry_point_freezes_the_heap_before_exit():
 
 
 def test_installed_script_runs_the_module_entry_point():
-    # so the script freezes the heap and imports families before cli, as python -m does
+    # so the script freezes the heap before exit, as python -m does
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
