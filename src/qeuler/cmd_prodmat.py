@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from . import cli
 
+#: The largest ``--order``, the side of the Riordan matrix: TypeB took 0.78 s at
+#: 40, 2.4 s at 60 and 9.0 s at 80 in one fresh process (14.5 s at 90).
+_MAX_ORDER = 80
+
 
 def add_arguments(parser) -> None:
     cli._add_family_flags(parser)
@@ -15,6 +19,7 @@ def add_arguments(parser) -> None:
 def run(args):
     from . import riordan
 
+    cli._at_most("prodmat builds a matrix of", _MAX_ORDER, "rows", "--order", args.order)
     spec, abd, config = cli._family(args)
     arr = riordan.exp_riordan_from_params(*abd, args.order)
     prod = riordan.production_matrix_direct(riordan.riordan_matrix(arr))

@@ -195,18 +195,18 @@ def enumeration_polynomial(spec: FamilySpec, count: int) -> list[QPoly]:
 
     T_0 = 1 (the empty group), and row n >= 1 is the family's walk in
     ``_FAMILIES``.  General has no walk: its rows are the recurrence's.
-    A table past the walk cap is refused before any group is walked.
+    The rows are walked from the largest n down, so the walk's own cap
+    refuses a table past it, naming that n, before any group is walked.
     """
     walk = _FAMILIES[spec.family][2]
     if walk is None:
         return recurrence_polynomial(spec.a, 1, spec.d, count)
     from . import walks
 
-    cap, row = walk
+    _, row = walk
     params = spec.params.values()
-    if count - 1 > cap:
-        row(walks, cap + 1, *params)  # raises the error an upward walk would meet, walking no group
-    return [ONE, *(row(walks, n, *params) for n in range(1, count))][:count]
+    rows = [row(walks, n, *params) for n in range(count - 1, 0, -1)]
+    return [ONE, *reversed(rows)][:count]
 
 
 def _egf_rows(spec: FamilySpec, count: int) -> list[QPoly]:

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, JSON shape, determinism, selftest."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 import qeuler.convexity as convexity
 import qeuler.families as families
 import qeuler.jacobi as jacobi
+import qeuler.riordan as riordan
 import qeuler.walks as walks
 from qeuler.algebra import QPoly
 from qeuler.cli import _json_value, main
@@ -100,11 +103,11 @@ def test_general_table_builds_one_triangle(capsys, monkeypatch, route):
         (("--family", "TypeB"), "9",
          "signed_descent_polynomial enumerates groups only for 1 <= n <= 7, got 8"),
         (("--family", "TypeB_qt", "--t", "2"), "12",
-         "signed_descent_polynomial enumerates groups only for 1 <= n <= 7, got 8"),
+         "signed_descent_polynomial enumerates groups only for 1 <= n <= 7, got 11"),
         (("--family", "TypeA"), "10",
          "descent_polynomial enumerates groups only for 1 <= n <= 8, got 9"),
         (("--family", "TypeA_qt", "--t", "2"), "11",
-         "excedance_cycle_polynomial enumerates groups only for 1 <= n <= 8, got 9"),
+         "excedance_cycle_polynomial enumerates groups only for 1 <= n <= 8, got 10"),
     ],
     ids=["TypeB", "TypeB_qt", "TypeA", "TypeA_qt"],
 )
@@ -153,11 +156,19 @@ _CEILINGS = [
      "check --mode zhu checks at most 10000000 indices"),
     (("conjecture", "--triangle", "B", "--seq", "motzkin"), "--nmax", 1000,
      "conjecture transforms at most 1000 terms"),
+    (("invert-moments", "--family", "TypeB"), "--nmax", 400,
+     "invert-moments generates at most 400 moments"),
+    (("invert-moments", "--family", "TypeB", "--nmax", "400"), "--depth", 200,
+     "invert-moments recovers at most 200 s weights"),
+    (("prodmat", "--family", "TypeB"), "--order", 80,
+     "prodmat builds a matrix of at most 80 rows"),
+    (("cfrac", "--family", "TypeB"), "--depth", 400_000,
+     "cfrac writes at most 400000 s weights"),
 ]
 
 
 def _no_compute(monkeypatch):
-    """Make every row, sequence and check of ``check`` and ``conjecture`` fail the test."""
+    """Make every computation behind a size ceiling fail the test."""
     def computed(*args):
         raise AssertionError("computed past the ceiling")
 
@@ -165,9 +176,15 @@ def _no_compute(monkeypatch):
     for name in ("builtin_sequence", "check_q_log_convex", "check_strong_q_log_convex",
                  "_weight_criterion", "transform_log_convexity_experiment"):
         monkeypatch.setattr(convexity, name, computed)
+    for name in ("jfraction_from_params", "jfraction_from_moments"):
+        monkeypatch.setattr(jacobi, name, computed)
+    for name in ("exp_riordan_from_params", "riordan_matrix", "production_matrix_direct"):
+        monkeypatch.setattr(riordan, name, computed)
 
 
-_CEILING_IDS = ["strong", "qlcx", "zhu", "conjecture"]
+_CEILING_IDS = [
+    "strong", "qlcx", "zhu", "conjecture", "invert-nmax", "invert-depth", "prodmat", "cfrac"
+]
 
 
 @pytest.mark.parametrize("digits33", [False, True], ids=["ceiling+1", "33-digit"])
@@ -184,8 +201,9 @@ def test_sizes_past_the_ceiling_are_refused_before_any_work(
 
 @pytest.mark.parametrize("argv,flag,ceiling,error", _CEILINGS, ids=_CEILING_IDS)
 def test_the_ceiling_itself_passes_the_guard(capsys, monkeypatch, argv, flag, ceiling, error):
-    # the computations are stubs, so only the guard runs at the full size
+    # the computations are stubs, or run at a small size, so only the guard sees the full size
     report = convexity.check_q_log_convex([QPoly(1)] * 3)
+    small_array, small_weights = riordan.exp_riordan_from_params, jacobi.jfraction_from_params
     criterion = convexity._weight_criterion(1, 1, 2, 2)
     transform = convexity.transform_log_convexity_experiment(
         convexity.Triangle.EULERIAN_B, convexity.builtin_sequence("motzkin", 4), 3
@@ -196,6 +214,12 @@ def test_the_ceiling_itself_passes_the_guard(capsys, monkeypatch, argv, flag, ce
                         ("_weight_criterion", criterion),
                         ("transform_log_convexity_experiment", transform)):
         monkeypatch.setattr(convexity, name, lambda *args, value=value: value)
+    monkeypatch.setattr(riordan, "exp_riordan_from_params",
+                        lambda a, b, d, order: small_array(a, b, d, 3))
+    monkeypatch.setattr(jacobi, "jfraction_from_params",
+                        lambda a, b, d, depth: small_weights(a, b, d, 2))
+    monkeypatch.setattr(jacobi, "jfraction_from_moments",
+                        lambda mu, depth: small_weights(1, 1, 1, depth or 1))
     code, payload = run_json(capsys, *argv, flag, str(ceiling))
     assert code == 0
     assert payload["config"][flag[2:]] == ceiling
@@ -563,6 +587,74 @@ def test_size_flags_take_ascii_digits_only(capsys, value, error):
     code, out, err = run_cli(capsys, "selftest", f"--nmax={value}")
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == f"qeuler selftest: error: argument --nmax: {error}"
+
+
+def _main_output(argv):
+    """(exit code, stdout, stderr) of one in-process run, without pytest's capture fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_drawn_command_lines_exit_0_1_or_2_deterministically():
+    # small sizes, a little past the walk caps, with now and then a bad spelling, a wrong
+    # parameter or a flag of another mode; no selftest at its default caps, and no --file
+    # or --out, so that no run touches a file
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    values = st.sampled_from(["1", "2", "3", "-1", "1/2", "-3/2", "5/4", "0", "1/0", "0.5", "x"])
+
+    def size(top):
+        return st.sampled_from([*map(str, range(1, top + 1)), "0", "-1", "1_0", "\uff18"])
+
+    def arg(flag, strategy):
+        return strategy.map(lambda value: [flag, value])
+
+    def rarely(strategy):  # its arguments one time in five, else none
+        return st.tuples(st.integers(0, 4), strategy).map(lambda p: p[1] if p[0] == 0 else [])
+
+    def command(name, *parts):
+        return st.tuples(*parts).map(lambda lists: [name, *(a for part in lists for a in part)])
+
+    @st.composite
+    def family_flags(draw):
+        family = draw(st.sampled_from([f.value for f in families.Family]))
+        names = families._FAMILIES[families.Family(family)][0]
+        names = draw(rarely(st.sets(st.sampled_from("tad")).map(sorted))) or names
+        return ["--family", family, *(f"--{n}={draw(values)}" for n in names)]
+
+    check_sizes = st.one_of(
+        st.tuples(st.sampled_from(["qlcx", "strong"]), size(40)).map(
+            lambda p: ["--mode", p[0], "--nmax", p[1]]
+        ),
+        size(60).map(lambda imax: ["--mode", "zhu", "--imax", imax]),
+    )
+    commands = st.one_of(
+        command("table", family_flags(), arg("--nmax", size(10)),
+                arg("--route", st.sampled_from([*families._ROUTES]))),
+        command("cfrac", family_flags(), arg("--depth", size(10))),
+        command("prodmat", family_flags(), arg("--order", size(8))),
+        command("check", family_flags(), check_sizes,
+                rarely(st.sampled_from([["--nmax", "3"], ["--imax", "3"]]))),
+        command("conjecture", arg("--triangle", st.sampled_from(["A", "B"])),
+                arg("--seq", st.sampled_from([*convexity.BUILTIN_SEQUENCES, "no-such-file"])),
+                arg("--nmax", size(12))),
+        command("invert-moments", family_flags(), arg("--nmax", size(12)),
+                rarely(arg("--depth", size(7)))),
+        command("selftest", arg("--nmax", size(3))),
+    )
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(commands, st.sampled_from([[], ["--format", "text"]]))
+    def check(argv, output):
+        argv = [*argv, *output]
+        first = _main_output(argv)
+        assert first[0] in (0, 1, 2)
+        assert "Traceback" not in first[2]
+        assert _main_output(argv) == first
+
+    check()
 
 
 # -- output handling -------------------------------------------------------------------
