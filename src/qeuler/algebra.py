@@ -11,10 +11,10 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
   run on Python ints.  ``QPoly.coeffs`` is a view that builds the
   ``fractions.Fraction`` coefficients when asked.
 * ``poly_divmod`` -- quotient and remainder in Q[q] by integer
-  pseudo-division of the numerators, reduced once at the end.  Every
-  route divides only where the quotient must be a polynomial, and a
-  nonzero remainder refuses the input: each division is exact or
-  refused.
+  pseudo-division of the numerators, scaled once at the start and
+  reduced once at the end.  Every route divides only where the quotient
+  must be a polynomial, and a nonzero remainder refuses the input: each
+  division is exact or refused.
 * ``poly_dot`` -- the sum of products over paired entries, skipping zero
   factors: every convolution, matrix entry and inner product in the
   package is one call.  It multiplies through ``x * y``.
@@ -460,30 +460,27 @@ def poly_divmod(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
     """
     if g.is_zero:
         raise ZeroDivisionError("polynomial division by zero polynomial")
-    num, div = list(f._num), g._num
+    div = g._num
     dg = len(div) - 1
-    if len(num) - 1 < dg:
+    steps = len(f._num) - dg
+    if steps < 1:
         return ZERO, f
-    # Sparse pseudo-division on the numerators, keeping
-    # scale * num(f) = quot * num(g) + rem with scale a power of lead(num(g)).
+    # Pseudo-division on the numerators (Knuth, TAOCP 2, 4.6.1): scaled once by
+    # scale = |lead|^steps, scale * num(f) = quot * num(g) + rem, and each
+    # quotient digit num[top] // lead is exact.  scale > 0 keeps den > 0.
     lead = div[-1]
-    quot = [0] * (len(num) - dg)
-    scale = 1
+    scale = abs(lead) ** steps
+    num = [scale * x for x in f._num]
+    quot = [0] * steps
     for top in range(len(num) - 1, dg - 1, -1):
-        c = num[top]
-        if not c:
-            continue
-        num = [lead * x for x in num]
-        quot = [lead * x for x in quot]
-        quot[top - dg] = c
-        for i, gc in enumerate(div, top - dg):
-            num[i] -= c * gc
-        scale *= lead
+        c = num[top] // lead
+        if c:
+            quot[top - dg] = c
+            for i, gc in enumerate(div, top - dg):
+                num[i] -= c * gc
     # f = num(f)/f.den and g = num(g)/g.den, so
     # f = (quot g.den / (scale f.den)) g + rem / (scale f.den)
     den = scale * f._den
-    if den < 0:
-        den, quot, num = -den, [-x for x in quot], [-x for x in num]
     return _from_parts([x * g._den for x in quot], den), _from_parts(num[:dg], den)
 
 

@@ -207,11 +207,12 @@ def _run(argv: Sequence[str] | None) -> int:
                 "result": result,
             }
             text = json.dumps(envelope, indent=2, default=_json_value)
+        # print writes the newline apart, so no second output-sized string is made
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                print(text, file=fh)
         else:
-            sys.stdout.write(text + "\n")
+            print(text)
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2

@@ -52,7 +52,9 @@ def run(args):
             raise ValueError("--nmax is required with --family")
         cli._at_most("invert-moments generates", _MAX_MOMENTS, "moments", "--nmax", args.nmax)
         _, abd, config = cli._family(args)
-        moments = families.recurrence_polynomial(*abd, args.nmax)
+        # inversion at depth D reads only the first 2D moments
+        count = args.nmax if args.depth is None else min(args.nmax, 2 * args.depth)
+        moments = families.recurrence_polynomial(*abd, count)
         config["nmax"] = args.nmax
     else:
         raise ValueError("one of --file or --family is required")

@@ -7,6 +7,11 @@ from . import cli, families
 #: The most rows ``egf`` and ``cfrac`` build.  Their coefficient work grows about
 #: as n^4: TypeB egf takes about 6 s at 140 rows and 25 s at 200.
 _SERIES_MAX_ROWS = 150
+#: The most rows ``recurrence`` and ``enum`` build (General's ``enum`` is the
+#: recurrence; a walk refuses far below, at its cap).  The output grows about as n^3:
+#: in one fresh process TypeB took 2.0 s and 310 MB at 500 rows, TypeB_qt(5/4) 4.3 s
+#: and 477 MB, and General(22/7, 355/113) 2.6 s and 242 MB at 300.
+_TRIANGLE_MAX_ROWS = 500
 
 
 def add_arguments(parser) -> None:
@@ -23,9 +28,8 @@ def add_arguments(parser) -> None:
 
 
 def run(args):
-    if args.route in ("egf", "cfrac"):
-        what = f"table --route {args.route} builds"
-        cli._at_most(what, _SERIES_MAX_ROWS, "rows", "--nmax", args.nmax)
+    limit = _SERIES_MAX_ROWS if args.route in ("egf", "cfrac") else _TRIANGLE_MAX_ROWS
+    cli._at_most(f"table --route {args.route} builds", limit, "rows", "--nmax", args.nmax)
     spec, _, config = cli._family(args)
     rows = families._ROUTES[args.route](spec, args.nmax)
     config |= {"nmax": args.nmax, "route": args.route}

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import _EXPORTS
-from .algebra import ONE, Q, QPoly, Rat, _common_denominator, as_fraction
+from .algebra import ONE, Q, QPoly, Rat, _common_denominator, _from_parts, as_fraction
 
 __all__ = list(_EXPORTS["families"])
 
@@ -182,12 +182,14 @@ def recurrence_polynomial(a: Rat | str, b: Rat | str, d: Rat | str, count: int) 
     """The recurrence route: T_0 .. T_{count-1} of the (a, b, d) EGF, in one pass.
 
     ``eulerian_rows`` runs on the numerators of ab, bd and d over their
-    common denominator D, and row n is divided once by D^n.
+    common denominator D, and row n is made once, as its numerators over D^n.
+    It is a copy: the next row is built from the one yielded, and the
+    canonical form drops trailing zeros (type A's top entry).
     """
     fa, fb, fd = (as_fraction(v) for v in (a, b, d))
     den, nums = _common_denominator((fa * fb, fb * fd, fd))
     rows = zip(range(count), eulerian_rows(*nums, count - 1))
-    return [QPoly(*row) / den**n for n, row in rows]
+    return [_from_parts(list(row), den**n) for n, row in rows]
 
 
 def enumeration_polynomial(spec: FamilySpec, count: int) -> list[QPoly]:

@@ -120,14 +120,9 @@ class TruncSeries:
         lead, *rest = other.coeffs
         if lead.is_zero:
             raise ValueError("series division needs a divisor with nonzero constant term")
-        # a constant divisor divides as a scalar
-        scalar = lead.constant if lead.degree == 0 else None
         out: list[QPoly] = []
         for m, c in enumerate(self.coeffs):
             acc = c - poly_dot(rest, reversed(out))
-            if scalar is not None:
-                out.append(acc / scalar)
-                continue
             quot, rem = poly_divmod(acc, lead)
             if not rem.is_zero:
                 raise ValueError(

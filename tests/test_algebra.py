@@ -367,11 +367,18 @@ def test_poly_gcd_coprime_and_degenerate_inputs():
         poly_gcd(QPoly(), QPoly())
 
 
-def test_poly_divmod_reconstructs_the_dividend():
+@pytest.mark.parametrize("lead", [None, 1, -1, 3, -3, Fraction(3, 2), Fraction(-5, 4)])
+def test_poly_divmod_reconstructs_the_dividend(lead):
+    # lead None draws the whole divisor; otherwise it is lead q^deg plus lower terms,
+    # deg 0 (a constant divisor) to 3, with negative, non-unit and rational leads
     rng = random.Random(4417)
-    for _ in range(40):
+    for k in range(40):
         f = _rand_poly(rng, 6)
-        g = _rand_poly(rng, 3, allow_zero=False)
+        if lead is None:
+            g = _rand_poly(rng, 3, allow_zero=False)
+        else:
+            deg = k % 4
+            g = QPoly(*[0] * deg, lead) + (_rand_poly(rng, deg - 1) if deg else 0)
         quot, rem = poly_divmod(f, g)
         assert quot * g + rem == f
         assert rem.degree < g.degree

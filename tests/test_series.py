@@ -89,6 +89,32 @@ def test_division_by_a_polynomial_constant_term_is_exact():
     assert num / den == _series(4, 2, 0, 1)
 
 
+def test_division_by_a_non_unit_constant_term_keeps_its_values():
+    # one path for every divisor: a rational constant term and (3/2)(1 - q)
+    three_halves = Fraction(3, 2)
+    assert _series(5, 1, 2, 3) / _series(5, three_halves, 1) == _series(
+        5, Fraction(2, 3), Fraction(8, 9), Fraction(38, 27), Fraction(-76, 81), Fraction(152, 243)
+    )
+    assert _series(5, 1, 2, 3) / three_halves == _series(5, Fraction(2, 3), Fraction(4, 3), 2)
+    assert _series(5, 1) / TruncSeries.constant(5, three_halves) == _series(5, Fraction(2, 3))
+    lead = QPoly(three_halves, -three_halves)
+    den = TruncSeries(5, [lead, lead * QPoly(0, 1), lead])
+    num = TruncSeries(5, [
+        QPoly(three_halves, three_halves, -3),
+        QPoly(Fraction(-1, 2), 2, three_halves, -3),
+        QPoly(three_halves, 1, 5, Fraction(-15, 2)),
+        QPoly(Fraction(-1, 2), Fraction(1, 2), 0, Fraction(15, 2), Fraction(-15, 2)),
+        QPoly(0, 0, Fraction(15, 2), Fraction(-15, 2)),
+    ])
+    assert num / den == TruncSeries(5, [QPoly(1, 2), QPoly(Fraction(-1, 3)), QPoly(0, 0, 5)])
+    with pytest.raises(ValueError) as refused:
+        _series(3, 1) / TruncSeries(3, [lead])
+    assert str(refused.value) == "series division is not exact in Q[q] at x^0: (1) / (3/2 - 3/2*q)"
+    with pytest.raises(ValueError) as refused:
+        TruncSeries(3, [lead, 1]) / TruncSeries(3, [lead])
+    assert str(refused.value) == "series division is not exact in Q[q] at x^1: (1) / (3/2 - 3/2*q)"
+
+
 def test_division_outside_q_polynomials_is_refused():
     q = QPoly(0, 1)
     # 1 / (q + x): the x^0 quotient 1/q is not a polynomial
