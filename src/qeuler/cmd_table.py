@@ -8,10 +8,11 @@ from . import cli, families
 #: as n^4: TypeB egf takes about 6 s at 140 rows and 25 s at 200.
 _SERIES_MAX_ROWS = 150
 #: The most rows ``recurrence`` and ``enum`` build (General's ``enum`` is the
-#: recurrence; a walk refuses far below, at its cap).  The output grows about as n^3:
-#: in one fresh process TypeB took 2.0 s and 310 MB at 500 rows, TypeB_qt(5/4) 4.3 s
-#: and 477 MB, and General(22/7, 355/113) 2.6 s and 242 MB at 300.
-_TRIANGLE_MAX_ROWS = 500
+#: recurrence; a walk refuses far below, at its cap).  The output grows about as n^3,
+#: and more with longer parameter literals: in one fresh process General(22/7, 355/113)
+#: took 10-11 s and 560 MB at 400 rows and 22 s and 1.08 GB at 500, TypeB_qt(355/113)
+#: 8.0 s and 449 MB at 400, and TypeB 1.4 s and 157 MB at 400.
+_TRIANGLE_MAX_ROWS = 400
 
 
 def add_arguments(parser) -> None:
