@@ -27,12 +27,13 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
   of their denominators: the one conversion into that form, for ``QPoly``
   and the integer routes of ``families`` and ``convexity``.
 * ``_first_drop`` -- the ``f >=_q g`` test, read off the numerators.
-* ``_chain_drops`` -- ``_first_drop`` between neighbouring products in a
-  chain f_i f_j, f_k f_l, ... with no product built as a ``QPoly``: each
-  row is packed once as its value at 2^W (Kronecker substitution), each
-  product is one int multiply, and the signs of a difference are read
-  from the high bit of every W-bit slot.  The q-log-convexity checks of
-  ``convexity`` compare their products through it.
+* ``_chain_drops`` -- ``_first_drop`` between neighbouring products in
+  each chain f_i f_j, f_k f_l, ... of one check, with no product built as
+  a ``QPoly``: each row is packed once per width W, as its value at 2^W
+  (Kronecker substitution), each product is one int multiply, and the
+  signs of a difference are read from the high bit of every W-bit
+  slot.  The q-log-convexity checks of ``convexity`` compare their
+  products through it.
 * ``poly_gcd`` -- the monic greatest common divisor over Q.  Only
   ``ratfun.QRatFun`` calls it.
 
@@ -272,12 +273,6 @@ class QPoly:
     def monic(self) -> "QPoly":
         return self / self.lead
 
-    def divide_by_q(self) -> "QPoly":
-        """Exact division by ``q``; raises unless divisible."""
-        if any(self._num[:1]):
-            raise ValueError(f"{self!r} is not divisible by q")
-        return _from_parts(list(self._num[1:]), self._den)
-
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> list[str]:
@@ -375,16 +370,17 @@ def _pack(num: tuple[int, ...], width: int) -> int:
     return pos - _pack(tuple(-c if c < 0 else 0 for c in num), width)
 
 
-def _chain_drops(polys: list[QPoly], chain: list[tuple[int, int]], packs: dict) -> list:
-    """``_first_drop(P_r, P_{r+1})`` for each r, where P_r = polys[i] * polys[j], (i, j) = chain[r].
+def _chain_drops(polys: list[QPoly], chains: list[list[tuple[int, int]]]) -> list[list]:
+    """For each chain, ``_first_drop(P_r, P_{r+1})`` for each r, where
+    P_r = polys[i] * polys[j], (i, j) = chain[r].
 
     No product is built as a ``QPoly``.  Over the lcm L of the products'
     denominators den_i den_j, P_r is the convolution N_r of the two
     numerator rows times s_r = L / (den_i den_j).  Each row is packed once
-    as its value at 2^W, so N_r(2^W) is one int multiply, and
-    D = s_r N_r(2^W) - s_{r+1} N_{r+1}(2^W) holds coefficient k of
-    P_r - P_{r+1}, times L, as a signed digit c_k in slot k.  W is the
-    largest, over the chain, of
+    per slot width W as its value at 2^W, so N_r(2^W) is one int multiply,
+    and D = s_r N_r(2^W) - s_{r+1} N_{r+1}(2^W) holds coefficient k of
+    P_r - P_{r+1}, times L, as a signed digit c_k in slot k.  Each chain
+    has its own W, the largest, over the chain, of
 
         bits(max |num_i|) + bits(max |num_j|) + bits(s_r) + bits(min(len_i, len_j)) + 2,
 
@@ -394,36 +390,41 @@ def _chain_drops(polys: list[QPoly], chain: list[tuple[int, int]], packs: dict) 
     when c_k < 0: the broadword comparison of ``walks._descent_tally``.
     The first witness is the lowest set bit of H & ~(D + H), kW + W - 1.
 
-    ``packs`` is the caller's cache for one ``polys``: key i holds the bit
-    length of row i's largest |numerator|, and key (i, W) its pack at W.
+    The bit lengths and packs of the rows are cached across the chains
+    of one call.
     """
-    rows = [(polys[i]._num, polys[j]._num) for i, j in chain]
-    dens = [polys[i]._den * polys[j]._den for i, j in chain]
-    common = lcm(*dens)
-    width, slots = 1, 0
-    for (i, j), (a, b), den in zip(chain, rows, dens):
-        if a and b:
-            for row, num in ((i, a), (j, b)):
-                if row not in packs:
-                    packs[row] = max(map(abs, num)).bit_length()
-            bits = packs[i] + packs[j] + (common // den).bit_length() + min(len(a), len(b)).bit_length()
-            width = max(width, bits + 2)
-            slots = max(slots, len(a) + len(b) - 1)
-    width = -(-width // 32) * 32
-    high = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
-    drops, last = [], None
-    for (i, j), (a, b), den in zip(chain, rows, dens):
-        product = 0
-        if a and b:
-            for row, num in ((i, a), (j, b)):
-                if (row, width) not in packs:
-                    packs[row, width] = _pack(num, width)
-            product = packs[i, width] * packs[j, width] * (common // den)
-        if last is not None:
-            negative = high & ~(last - product + high)
-            drops.append((negative & -negative).bit_length() // width - 1 if negative else None)
-        last = product
-    return drops
+    bits: dict[int, int] = {}
+    packs: dict[tuple[int, int], int] = {}
+    out = []
+    for chain in chains:
+        rows = [(polys[i]._num, polys[j]._num) for i, j in chain]
+        dens = [polys[i]._den * polys[j]._den for i, j in chain]
+        common = lcm(*dens)
+        width, slots = 1, 0
+        for (i, j), (a, b), den in zip(chain, rows, dens):
+            if a and b:
+                for row, num in ((i, a), (j, b)):
+                    if row not in bits:
+                        bits[row] = max(map(abs, num)).bit_length()
+                size = bits[i] + bits[j] + (common // den).bit_length()
+                width = max(width, size + min(len(a), len(b)).bit_length() + 2)
+                slots = max(slots, len(a) + len(b) - 1)
+        width = -(-width // 32) * 32
+        high = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
+        drops, last = [], None
+        for (i, j), (a, b), den in zip(chain, rows, dens):
+            product = 0
+            if a and b:
+                for row, num in ((i, a), (j, b)):
+                    if (row, width) not in packs:
+                        packs[row, width] = _pack(num, width)
+                product = packs[i, width] * packs[j, width] * (common // den)
+            if last is not None:
+                negative = high & ~(last - product + high)
+                drops.append((negative & -negative).bit_length() // width - 1 if negative else None)
+            last = product
+        out.append(drops)
+    return out
 
 
 ZERO = QPoly()

@@ -213,7 +213,7 @@ def _run(argv: Sequence[str] | None) -> int:
                 print(text, file=fh)
         else:
             print(text)
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
     return 0 if okay else 1

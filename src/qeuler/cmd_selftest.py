@@ -40,7 +40,7 @@ def run(args):
     for spec, ncap in _instances(args.nmax):
         count = ncap + 1
         egf, cfrac, enum = (families._ROUTES[r](spec, count) for r in ("egf", "cfrac", "enum"))
-        jf = jacobi.jfraction_from_params(*families.family_egf_params(spec), count)
+        jf = jacobi.jfraction_from_params(*families.family_egf_params(spec), (count + 1) // 2)
         motzkin = jacobi.moments_by_motzkin_paths(jf, count)
         label = spec.label()
         for n in range(count):

@@ -97,12 +97,8 @@ def _sequence(seq: Sequence[QPoly]) -> tuple[list[QPoly], int]:
 def check_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
     """Check f_{n-1} f_{n+1} >=_q f_n^2 for every interior index."""
     f, last = _sequence(seq)
-    packs: dict = {}
-    witnesses = tuple(
-        (n, n, k)
-        for n in range(1, last + 1)
-        if (k := _chain_drops(f, [(n - 1, n + 1), (n, n)], packs)[0]) is not None
-    )
+    chains = [[(n - 1, n + 1), (n, n)] for n in range(1, last + 1)]
+    witnesses = tuple((n, n, k) for n, [k] in enumerate(_chain_drops(f, chains), 1) if k is not None)
     return ConvexityReport(verdict=not witnesses, witnesses=witnesses, checked_range=(1, last))
 
 
@@ -116,14 +112,16 @@ def check_strong_q_log_convex(seq: Sequence[QPoly]) -> ConvexityReport:
     ``_chain_drops`` per sigma.  Witnesses are reported in (m, n) order.
     """
     f, last = _sequence(seq)
-    packs: dict = {}
-    witnesses = []
-    for sigma in range(2, 2 * last + 1):
-        low = max(1, sigma - last)
-        chain = [(m, sigma - m) for m in range(low - 1, sigma // 2 + 1)]
-        drops = _chain_drops(f, chain, packs)
-        witnesses += [(m, sigma - m, k) for m, k in enumerate(drops, low) if k is not None]
-    witnesses.sort()
+    chains = [
+        [(m, sigma - m) for m in range(max(1, sigma - last) - 1, sigma // 2 + 1)]
+        for sigma in range(2, 2 * last + 1)
+    ]
+    witnesses = sorted(
+        (m, n, k)
+        for chain, drops in zip(chains, _chain_drops(f, chains))
+        for (m, n), k in zip(chain[1:], drops)
+        if k is not None
+    )
     return ConvexityReport(verdict=not witnesses, witnesses=tuple(witnesses), checked_range=(1, last))
 
 

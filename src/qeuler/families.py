@@ -53,10 +53,10 @@ _FAMILIES: dict[Family, tuple[tuple[str, ...], Callable, tuple[int, Callable] | 
     Family.TYPE_A: (  # q * descent polynomial (n >= 1)
         (), lambda: (0, 1, 1), (DESCENT_CAP, lambda w, n: Q * w.descent_polynomial(n))
     ),
-    Family.TYPE_A_QT: (  # excedances marked by q, cycles by t; the walk has an extra q
+    Family.TYPE_A_QT: (  # excedances marked by q, cycles by t
         ("t",),
         lambda t: (1, t, 1),
-        (DESCENT_CAP, lambda w, n, t: w.excedance_cycle_polynomial(n, t).divide_by_q()),
+        (DESCENT_CAP, lambda w, n, t: w.excedance_cycle_polynomial(n, t)),
     ),
     Family.TYPE_B: (  # descent polynomials of signed permutations
         (), lambda: (1, 1, 2), (SIGNED_CAP, lambda w, n: w.signed_descent_polynomial(n, 1))
@@ -220,7 +220,8 @@ def _egf_rows(spec: FamilySpec, count: int) -> list[QPoly]:
 def _cfrac_rows(spec: FamilySpec, count: int) -> tuple[QPoly, ...]:
     from . import jacobi
 
-    jf = jacobi.jfraction_from_params(*family_egf_params(spec), count)
+    # count moments read the weights up to height (count - 1) // 2 only
+    jf = jacobi.jfraction_from_params(*family_egf_params(spec), (count + 1) // 2)
     return jacobi.moments_by_cfrac_expansion(jf, count)
 
 

@@ -44,7 +44,7 @@ from math import factorial
 
 from . import _EXPORTS
 from .algebra import ONE, Q, ZERO, QPoly, Rat, as_fraction, as_qpoly, poly_dot
-from .series import TruncSeries, _egf_series_and_exp_d, compose_all
+from .series import TruncSeries, compose_all, egf_series
 
 __all__ = list(_EXPORTS["riordan"])
 
@@ -118,9 +118,9 @@ def exp_riordan_from_params(a: Rat | str, b: Rat | str, d: Rat | str, order: int
     fd = as_fraction(d)
     if fd == 0:
         raise ValueError("d must be nonzero")
-    g, exp_d = _egf_series_and_exp_d(a, b, d, order)
+    exp_d = (TruncSeries.x(order) * (fd * QPoly(1, -1))).exp()
     f = (exp_d - 1) / ((1 - exp_d * Q) * fd)
-    return ExpRiordan(g, f)
+    return ExpRiordan(egf_series(a, b, d, order), f)
 
 
 def riordan_matrix(arr: ExpRiordan) -> tuple[tuple[QPoly, ...], ...]:

@@ -262,24 +262,13 @@ def compose_all(outers: list[TruncSeries], inner: TruncSeries) -> list[TruncSeri
 
 def egf_series(a: Rat | str, b: Rat | str, d: Rat | str, order: int) -> TruncSeries:
     """The generating series ((1-q) e^{a(1-q)x} / (1 - q e^{d(1-q)x}))^b."""
-    return _egf_series_and_exp_d(a, b, d, order)[0]
-
-
-def _egf_series_and_exp_d(
-    a: Rat | str, b: Rat | str, d: Rat | str, order: int
-) -> tuple[TruncSeries, TruncSeries]:
-    """``egf_series(a, b, d, order)`` and the e^{d(1-q)x} it is built from.
-
-    The Riordan array's f is built from the same exponential, so it
-    takes it from here rather than expanding it a second time.
-    """
     fa, fb, fd = as_fraction(a), as_fraction(b), as_fraction(d)
     one_minus_q = QPoly(1, -1)
     x = TruncSeries.x(order)
     exp_d = (x * (fd * one_minus_q)).exp()
     exp_a = exp_d if fa == fd else (x * (fa * one_minus_q)).exp()
     base = (exp_a * one_minus_q) / (1 - exp_d * Q)
-    return base.pow(fb), exp_d
+    return base.pow(fb)
 
 
 def egf_polynomials(a: Rat | str, b: Rat | str, d: Rat | str, count: int) -> list[QPoly]:

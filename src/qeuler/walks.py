@@ -17,8 +17,7 @@ The signed walk does this once per sign set, 2^n·n! elements in all:
 indices.
 
 Each cached walk returns one shape, the sorted (power of q, power of t,
-count) triples of its distribution, with the excedance walk's
-conventional extra q already in its powers of q.  One builder,
+count) triples of its distribution.  One builder,
 ``_walk_polynomial``, checks the walk's fixed cap, weights each triple
 by t and builds the ``QPoly``.
 
@@ -89,7 +88,7 @@ def _exc_cycle_counts(n: int) -> tuple[tuple[int, int, int], ...]:
             while not seen[j]:
                 seen[j] = True
                 j = pi[j]
-        counts[sum(map(gt, pi, range(n))) + 1, cyc] += 1
+        counts[sum(map(gt, pi, range(n))), cyc] += 1
     return tuple(sorted((e, c, m) for (e, c), m in counts.items()))
 
 
@@ -128,10 +127,10 @@ def descent_polynomial(n: int) -> QPoly:
 
 
 def excedance_cycle_polynomial(n: int, t: Rat | str) -> QPoly:
-    """sum over S_n of q^{exc(pi)+1} t^{cyc(pi)}.
+    """A_n(q, t), the sum over S_n of q^{exc(pi)} t^{cyc(pi)}.
 
-    Note the conventional extra factor q: at t = 1 this is q times the
-    descent polynomial, not the descent polynomial itself.
+    Excedances and descents are equidistributed over S_n, so at t = 1
+    this is the descent polynomial.
     """
     return _walk_polynomial("excedance_cycle_polynomial", DESCENT_CAP, _exc_cycle_counts, n, t)
 

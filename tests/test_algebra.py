@@ -121,7 +121,6 @@ def test_qpoly_arithmetic_hand_cases():
     q = QPoly(0, 1)
     assert (1 + q) * (1 + q) == QPoly(1, 2, 1)
     assert (1 + q) ** 3 == QPoly(1, 3, 3, 1)
-    assert (QPoly(1, 4, 1) - 1).divide_by_q() == QPoly(4, 1)
     assert QPoly(2, 4) / 2 == QPoly(1, 2)
     assert 1 - q == QPoly(1, -1)
     assert q * 0 == QPoly()
@@ -133,8 +132,6 @@ def test_qpoly_power_zero_and_division_errors():
         QPoly(1, 1) ** -1
     with pytest.raises(ZeroDivisionError):
         QPoly(1, 1) / 0
-    with pytest.raises(ValueError):
-        QPoly(1, 1).divide_by_q()
 
 
 def test_qpoly_refuses_floats_everywhere():
@@ -171,7 +168,6 @@ def test_qpoly_canonical_form_hand_cases():
     )
     assert QPoly(Fraction(3, 4), Fraction(9, 4)) / Fraction(-3, 4) == QPoly(-1, -3)
     assert QPoly(0, 0, Fraction(1, 2)).derivative() == QPoly(0, 1)
-    assert QPoly(0, Fraction(2, 3)).divide_by_q() == Fraction(2, 3)
 
 
 def test_common_denominator_is_the_lcm_form():

@@ -577,6 +577,19 @@ def test_deeply_nested_json_file_exits_two(capsys, tmp_path, argv, what):
     assert json.loads(err) == {"error": f"{what} file nests JSON arrays or objects too deeply"}
 
 
+@pytest.mark.parametrize(
+    "argv", [("invert-moments", "--file"), ("conjecture", "--triangle", "A", "--seq")]
+)
+@pytest.mark.parametrize("content", [b"[1, 2", b"\xff\xfe"], ids=["truncated", "not-utf8"])
+def test_unreadable_json_file_exits_two(capsys, tmp_path, argv, content):
+    # a JSON syntax error and a UTF-8 decoding error are both ValueErrors
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and set(json.loads(err)) == {"error"}
+
+
 # -- usage errors ----------------------------------------------------------------------
 
 

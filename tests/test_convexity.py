@@ -284,9 +284,8 @@ def test_chain_drops_and_checks_equal_qpoly_products():
     def check(f, data):
         index = st.integers(0, len(f) - 1)
         chains = data.draw(st.lists(st.lists(st.tuples(index, index), max_size=6), max_size=3))
-        packs: dict = {}  # shared across chains, as the checks share it
-        for chain in chains:
-            assert _chain_drops(f, chain, packs) == _product_drops(f, chain)
+        # one call takes every chain, sharing its row caches across them
+        assert _chain_drops(f, chains) == [_product_drops(f, c) for c in chains]
         plain, strong = _subtraction_witnesses(f)
         assert check_q_log_convex(f).witnesses == plain
         assert check_strong_q_log_convex(f).witnesses == strong
@@ -305,13 +304,13 @@ def test_chain_drops_at_a_slot_boundary():
     difference = f0 * f0 - f2 * f3
     assert 3 * max(difference.coeffs) == 3 * difference.coeffs[14] == 2**30
     assert min(difference.coeffs) > 0
-    assert _chain_drops([f0, f0, f2, f3], [(0, 1), (2, 3)], {}) == [None]
+    assert _chain_drops([f0, f0, f2, f3], [[(0, 1), (2, 3)]]) == [[None]]
     # turned around, every coefficient is negative, down to -2^30
-    assert _chain_drops([f0, f0, f2, f3], [(2, 3), (0, 1)], {}) == [0]
+    assert _chain_drops([f0, f0, f2, f3], [[(2, 3), (0, 1)]]) == [[0]]
     # the digits -1, 0 and 1, where a slot's high bit flips
     g = [ONE, ONE, QPoly(2), ONE]
-    assert _chain_drops(g, [(0, 1), (2, 3)], {}) == [0]
-    assert _chain_drops(g, [(2, 3), (0, 1)], {}) == _chain_drops(g, [(0, 1), (1, 0)], {}) == [None]
+    assert _chain_drops(g, [[(0, 1), (2, 3)]]) == [[0]]
+    assert _chain_drops(g, [[(2, 3), (0, 1)], [(0, 1), (1, 0)]]) == [[None], [None]]
 
 
 # -- the expanded gap and its bound ---------------------------------------------------

@@ -28,8 +28,6 @@ from qeuler.walks import (
     signed_descent_polynomial,
 )
 
-Q = QPoly(0, 1)
-
 
 # -- family specs ----------------------------------------------------------------
 
@@ -141,16 +139,29 @@ def test_descent_polynomial_counts_all_permutations():
 
 def test_excedance_polynomial_hand_case():
     # S_3 by (excedances, cycles): id -> (0,3); three transpositions -> (1,2);
-    # 231 -> (2,1); 312 -> (1,1); weights are q^(exc+1) t^cyc
-    assert excedance_cycle_polynomial(3, 1) == QPoly(0, 1, 4, 1)
-    assert excedance_cycle_polynomial(3, 2) == QPoly(0, 8, 14, 2)
+    # 231 -> (2,1); 312 -> (1,1); weights are q^exc t^cyc
+    assert excedance_cycle_polynomial(3, 1) == QPoly(1, 4, 1)
+    assert excedance_cycle_polynomial(3, 2) == QPoly(8, 14, 2)
     assert excedance_cycle_polynomial(3, 0) == QPoly()
 
 
 @pytest.mark.parametrize("n", range(1, DESCENT_CAP + 1))
 def test_excedances_and_descents_are_equidistributed(n):
-    # the walk carries the conventional extra q
-    assert excedance_cycle_polynomial(n, 1) == Q * descent_polynomial(n)
+    assert excedance_cycle_polynomial(n, 1) == descent_polynomial(n)
+
+
+def test_excedance_walk_is_the_type_a_qt_row_at_random_t():
+    # A_n(q, t) is row n of the (a, b, d) = (1, t, 1) triangle, at any rational t
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(rational, st.integers(1, 6))
+    def check(t, n):
+        assert excedance_cycle_polynomial(n, t) == recurrence_polynomial(1, t, 1, n + 1)[n]
+
+    check()
 
 
 @pytest.mark.parametrize("n", range(1, DESCENT_CAP + 1))
