@@ -26,14 +26,16 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
 * ``_common_denominator`` -- rationals as integer numerators over the lcm
   of their denominators: the one conversion into that form, for ``QPoly``
   and the integer routes of ``families`` and ``convexity``.
-* ``_first_drop`` -- the ``f >=_q g`` test, read off the numerators.
+* ``_first_drop`` -- the ``f >=_q g`` test, one pass over the paired
+  numerators, each cross-multiplied by the other denominator.
 * ``_chain_drops`` -- ``_first_drop`` between neighbouring products in
   each chain f_i f_j, f_k f_l, ... of one check, with no product built as
-  a ``QPoly``: each row is packed once per width W, as its value at 2^W
-  (Kronecker substitution), each product is one int multiply, and the
-  signs of a difference are read from the high bit of every W-bit
-  slot.  The q-log-convexity checks of ``convexity`` compare their
-  products through it.
+  a ``QPoly``: each row's bit length is read once, up front, each row is
+  packed once per width W, as its value at 2^W (Kronecker
+  substitution), each product is one int multiply, and the signs of a
+  difference are read from the high bit of every W-bit slot.  The
+  q-log-convexity checks of ``convexity`` compare their products
+  through it.
 * ``poly_gcd`` -- the monic greatest common divisor over Q.  Only
   ``ratfun.QRatFun`` calls it.
 
@@ -55,8 +57,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
-from operator import add, lt
+from operator import add
 
 from . import _EXPORTS
 
@@ -342,19 +345,12 @@ def _first_drop(f: QPoly, g: QPoly) -> int | None:
 
     f - g is never built: with both denominators positive, the
     coefficient of q^k is negative exactly when f_k den(g) < g_k den(f)
-    for the numerators f_k and g_k.  So ``f >=_q g`` is
-    ``_first_drop(f, g) is None``.
+    for the numerators f_k and g_k, the shorter row read as zeros past
+    its end.  So ``f >=_q g`` is ``_first_drop(f, g) is None``.
     """
-    fn, gn = f._num, g._num
-    if f._den != g._den and fn and gn:
-        fn, gn = [c * g._den for c in fn], [c * f._den for c in gn]
-    pad = len(gn) - len(fn)
-    if pad > 0:
-        fn += (0,) * pad
-    elif pad:
-        gn += (0,) * -pad
-    drops = list(map(lt, fn, gn))
-    return drops.index(True) if True in drops else None
+    fd, gd = f._den, g._den
+    pairs = zip_longest(f._num, g._num, fillvalue=0)
+    return next((k for k, (a, b) in enumerate(pairs) if a * gd < b * fd), None)
 
 
 def _pack(num: tuple[int, ...], width: int) -> int:
@@ -390,10 +386,10 @@ def _chain_drops(polys: list[QPoly], chains: list[list[tuple[int, int]]]) -> lis
     when c_k < 0: the broadword comparison of ``walks._descent_tally``.
     The first witness is the lowest set bit of H & ~(D + H), kW + W - 1.
 
-    The bit lengths and packs of the rows are cached across the chains
-    of one call.
+    Each row's bit length is read once, up front, and its pack at each
+    width is cached across the chains of one call.
     """
-    bits: dict[int, int] = {}
+    bits = [max(map(abs, p._num), default=0).bit_length() for p in polys]
     packs: dict[tuple[int, int], int] = {}
     out = []
     for chain in chains:
@@ -403,9 +399,6 @@ def _chain_drops(polys: list[QPoly], chains: list[list[tuple[int, int]]]) -> lis
         width, slots = 1, 0
         for (i, j), (a, b), den in zip(chain, rows, dens):
             if a and b:
-                for row, num in ((i, a), (j, b)):
-                    if row not in bits:
-                        bits[row] = max(map(abs, num)).bit_length()
                 size = bits[i] + bits[j] + (common // den).bit_length()
                 width = max(width, size + min(len(a), len(b)).bit_length() + 2)
                 slots = max(slots, len(a) + len(b) - 1)

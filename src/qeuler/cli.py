@@ -33,8 +33,8 @@ import argparse
 import enum
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import __version__, families
 from .algebra import QPoly, as_fraction, parse_rational

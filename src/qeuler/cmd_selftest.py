@@ -6,8 +6,8 @@ up to its walk's cap, by the routes of ``families._ROUTES``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from . import cli, families
 from .families import Family, FamilySpec

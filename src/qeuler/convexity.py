@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import _EXPORTS
 from .algebra import (
@@ -54,6 +54,7 @@ from .algebra import (
 )
 from .families import _weight_forms, eulerian_rows
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .jacobi import JFraction
 
@@ -219,7 +220,8 @@ def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
                          + (di+bd-ab)(di+d+bd-ab) q^2,
 
     the gap with s0 s1 / den^2 (``_weight_forms``) as its q coefficient;
-    ``bound_is_lower`` records whether gap - bound >=_q 0.  As
+    ``bound_is_lower`` records whether gap - bound >=_q 0.  Over the shared
+    den^2 the two differ only at q, so that is g1 >= s0 s1.  As
 
         gap - bound = q (d^2 i (i + 1 + b) + a b^2 (d - a)),
 
@@ -233,8 +235,7 @@ def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
     den, _, s0, s1 = forms
     g0, g1, g2 = next(_gaps(forms, [i]))
     gap, bound = _from_parts([g0, g1, g2], den * den), _from_parts([g0, s0 * s1, g2], den * den)
-    lower = _first_drop(gap, bound) is None
-    return GapResult(gap=gap, reference_bound=bound, bound_is_lower=lower)
+    return GapResult(gap=gap, reference_bound=bound, bound_is_lower=g1 >= s0 * s1)
 
 
 # -- transform experiments ---------------------------------------------------

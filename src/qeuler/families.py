@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque, namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
 
 from . import _EXPORTS
 from .algebra import ONE, Q, QPoly, Rat, _common_denominator, _from_parts, as_fraction

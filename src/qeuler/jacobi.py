@@ -42,7 +42,7 @@ module has no serialization.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import _EXPORTS
 from .algebra import (

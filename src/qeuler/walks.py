@@ -29,11 +29,11 @@ family's walk, and declares the caps in ``_FAMILIES``.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import pairwise, permutations, product
 from math import factorial
 from operator import gt
-from typing import Sequence
 
 from . import _EXPORTS
 from .algebra import QPoly, Rat, as_fraction

@@ -346,6 +346,7 @@ def test_weight_gap_matches_raw_weights_on_a_grid():
         got = weight_gap(i, a, b, d)
         assert got.gap == s(i) * s(i + 1) - t, (a, b, d, i)
         assert got.reference_bound == bound, (a, b, d, i)
+        assert got.bound_is_lower == (_first_negative_of_difference(got.gap, bound) is None)
 
 
 def test_weight_gap_unit_case_and_bound():

@@ -33,12 +33,12 @@ print(json.dumps(list(sys.modules)))
 """
 
 
-def _child(source: str, *argv: str):
-    """The JSON that a fresh interpreter running SOURCE with ARGV prints."""
+def _child(source: str, *argv: str, flags: tuple[str, ...] = ()):
+    """The JSON that a fresh interpreter, started with FLAGS, running SOURCE with ARGV prints."""
     src = str(Path(qeuler.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", source, *argv],
+        [sys.executable, *flags, "-c", source, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -166,6 +166,12 @@ def test_no_command_loads_the_dataclass_machinery(bare_modules, argv):
     # library records are named tuples; dataclasses would also pull in inspect.
     # Only what the command adds counts: a site hook may load either at start.
     assert (_modules(*argv) - bare_modules) & {"dataclasses", "inspect"} == set()
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=" ".join)
+def test_no_command_imports_typing(argv):
+    # -S skips the site hooks, which may load typing at start and would hide an import here
+    assert "typing" not in _child(_CHILD, *argv, flags=("-S",))
 
 
 @pytest.mark.parametrize("argv", _COMMANDS, ids=" ".join)
