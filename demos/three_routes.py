@@ -5,7 +5,7 @@ route, and a brute-force enumeration is that they share no code paths:
 when all three print the same row, that row is trustworthy.
 """
 
-from qeuler.families import Family, FamilySpec, enumeration_polynomial, family_egf_params
+from qeuler.families import FamilySpec, enumeration_polynomial, family_egf_params
 from qeuler.jacobi import jfraction_from_params, moments_by_motzkin_paths
 from qeuler.series import egf_polynomials
 
@@ -23,7 +23,7 @@ def show(spec: FamilySpec, nmax: int) -> None:
 
 
 if __name__ == "__main__":
-    show(FamilySpec(Family.TYPE_A_SHIFTED), 6)
-    show(FamilySpec(Family.TYPE_B), 6)
-    show(FamilySpec(Family.TYPE_A_QT, t=2), 5)
-    show(FamilySpec(Family.GENERAL, a=1, d=3), 6)
+    show(FamilySpec("TypeA_shifted"), 6)
+    show(FamilySpec("TypeB"), 6)
+    show(FamilySpec("TypeA_qt", t=2), 5)
+    show(FamilySpec("General", a=1, d=3), 6)

@@ -41,7 +41,6 @@ _EXPORTS = {
         "verify_orthogonality",
     ),
     "families": (
-        "Family",
         "FamilySpec",
         "enumeration_polynomial",
         "eulerian_numbers_type_a",
@@ -57,7 +56,6 @@ _EXPORTS = {
         "CriterionReport",
         "GapResult",
         "TransformReport",
-        "Triangle",
         "builtin_sequence",
         "check_q_log_convex",
         "check_strong_q_log_convex",

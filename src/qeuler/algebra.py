@@ -50,7 +50,8 @@ No floating point enters at any stage.  Rationals serialize as ``"p/q"``
 (or ``"p"`` when the denominator is 1), which is exactly ``str()`` of a
 ``Fraction``; ``QPoly.to_json`` gives a list of such strings with the
 list index giving the power of ``q``.  These are the only JSON forms in
-the library: ``cli`` encodes every other value from them.
+the library: ``cli._json_value`` writes these two, and every other value
+a command returns is already a JSON type.
 """
 
 from __future__ import annotations

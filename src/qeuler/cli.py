@@ -10,10 +10,14 @@ command's arguments and runs it.  When the first argument names a
 command, only that module is imported and only its parser is built;
 any other command line builds the full parser, which imports them all.
 This module keeps what the commands share: the main parser, the output
-and family flags, the family lookup and the JSON encoder.
+and family flags, the family lookup and the JSON encoder.  Every
+``choices=`` but ``--format`` reads the keys of the table that acts on
+it: ``--family`` ``families._FAMILIES``, ``--route`` ``families._ROUTES``,
+``--triangle`` ``families._TRIANGLES`` and ``--mode`` ``cmd_check._MAX_SIZE``.
 
 Only this module writes JSON: a command returns library values, each
-record as its ``_asdict()``, and ``_json_value`` encodes them.  A
+record as its ``_asdict()``, and ``_json_value`` encodes the two that are
+no JSON type, ``QPoly`` and ``Fraction``.  A
 command returns its ``--format text`` lines as a callable, which
 ``_run`` calls only for text output, so a JSON run formats no
 polynomial as text.
@@ -30,7 +34,6 @@ fail mid-computation, like non-quasi-definite moments).
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import sys
 from collections.abc import Sequence
@@ -38,7 +41,7 @@ from fractions import Fraction
 
 from . import __version__, families
 from .algebra import QPoly, as_fraction, parse_rational
-from .families import Family, FamilySpec
+from .families import FamilySpec
 
 __all__ = ["main"]
 
@@ -83,12 +86,10 @@ def _add_family_flags(
     parser: argparse.ArgumentParser, required: bool = True, what: str = "polynomial family"
 ) -> None:
     """``--family`` and the parameters ``_family`` reads."""
-    parser.add_argument(
-        "--family", required=required, choices=[f.value for f in Family], help=what
-    )
+    parser.add_argument("--family", required=required, choices=list(families._FAMILIES), help=what)
     # argparse takes "-3/2" for an option, so a negative value needs "--t=-3/2"
-    for name in ("t", "a", "d"):
-        used_by = ", ".join(f.value for f in Family if name in families._FAMILIES[f][0])
+    for name in FamilySpec._fields[1:]:
+        used_by = ", ".join(f for f, (names, *_) in families._FAMILIES.items() if name in names)
         text = f"{name} parameter ({used_by}); write a negative one as --{name}=-3/2"
         parser.add_argument(f"--{name}", type=_rational, help=text)
 
@@ -122,8 +123,8 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
 
 def _family(args) -> tuple[FamilySpec, tuple[Fraction, Fraction, Fraction], dict]:
     """The family the flags name, its (a, b, d) triple and its ``config`` entries."""
-    spec = FamilySpec(Family(args.family), t=args.t, a=args.a, d=args.d)
-    config = {"family": spec.family.value, **spec.params}
+    spec = FamilySpec(args.family, t=args.t, a=args.a, d=args.d)
+    config = {"family": spec.family, **spec.params}
     return spec, families.family_egf_params(spec), config
 
 
@@ -170,8 +171,6 @@ def _json_value(obj):
         return obj.to_json()
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, enum.Enum):
-        return obj.value
     raise TypeError(f"{type(obj).__name__} has no JSON form")
 
 

@@ -9,7 +9,12 @@ changes, and the tests still pin the triangle to the EGF and cfrac rows.
 ``zhu`` reads the closed-form weights as integers over den for s and
 den^2 for t (``convexity._weight_criterion``, O(imax) work), builds no
 ``JFraction`` and imports no ``jacobi``; its report is the one
-``moment_convexity_criterion`` gives on the same weights.
+``moment_convexity_criterion`` gives on the same weights.  Its verdict,
+the exit code and the text line's pass/FAIL, is ``verdict and
+hypothesis_nonneg``: the criterion says nothing about weights with a
+negative coefficient.  The i = 0 gap adds nothing to it: that gap is
+(ab)(d + ab) + 2 (ab)(bd - ab) q + (bd - ab)(d + bd - ab) q^2, products of
+the coefficients of s_0 and s_1, so it is nonnegative whenever they are.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ def add_arguments(parser) -> None:
         "--nmax", type=cli._positive_int, help="how many polynomials (qlcx/strong)"
     )
     parser.add_argument(
-        "--mode", required=True, choices=("qlcx", "strong", "zhu"), help="which check to run"
+        "--mode", required=True, choices=tuple(_MAX_SIZE), help="which check to run"
     )
     parser.add_argument(
         "--imax", type=cli._positive_int, help="index range for --mode zhu (default 50)"
@@ -48,6 +53,7 @@ def run(args):
         cli._at_most("check --mode zhu checks", _MAX_SIZE["zhu"], "indices", "--imax", imax)
         report = convexity._weight_criterion(*abd, imax)
         config["imax"] = imax
+        okay = report.verdict and report.hypothesis_nonneg
     else:
         if args.imax is not None:
             raise ValueError(f"--imax has no effect with --mode {args.mode}")
@@ -61,7 +67,8 @@ def run(args):
             report = convexity.check_q_log_convex(mu)
         else:
             report = convexity.check_strong_q_log_convex(mu)
-    return config, {"report": report._asdict()}, report.verdict, lambda: [
-        f"{spec.label()} {args.mode}: {'pass' if report.verdict else 'FAIL'}",
+        okay = report.verdict
+    return config, {"report": report._asdict()}, okay, lambda: [
+        f"{spec.label()} {args.mode}: {'pass' if okay else 'FAIL'}",
         *(f"  witness {w}" for w in report.witnesses),
     ]

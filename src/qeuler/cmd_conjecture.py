@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from . import cli, convexity
+from . import cli, convexity, families
 
 _BUILTIN_NAMES = ", ".join(sorted(convexity.BUILTIN_SEQUENCES))
 
@@ -15,9 +15,7 @@ _MAX_TERMS = 1000
 
 
 def add_arguments(parser) -> None:
-    parser.add_argument(
-        "--triangle", required=True, choices=tuple(t.value for t in convexity.Triangle)
-    )
+    parser.add_argument("--triangle", required=True, choices=tuple(families._TRIANGLES))
     parser.add_argument(
         "--seq", required=True, help=f"builtin name ({_BUILTIN_NAMES}) or a JSON file of rationals"
     )
@@ -36,9 +34,8 @@ def _load_sequence(seq: str, count: int) -> list[Fraction]:
 
 def run(args):
     cli._at_most("conjecture transforms", _MAX_TERMS, "terms", "--nmax", args.nmax)
-    triangle = convexity.Triangle(args.triangle)
     xs = _load_sequence(args.seq, args.nmax + 1)
-    report = convexity.transform_log_convexity_experiment(triangle, xs, args.nmax)
+    report = convexity.transform_log_convexity_experiment(args.triangle, xs, args.nmax)
     config = {"triangle": args.triangle, "seq": args.seq, "nmax": args.nmax}
     result = {"input": xs[: args.nmax + 1], "report": report._asdict()}
     return config, result, report.verdict, lambda: [

@@ -10,7 +10,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from . import cli, families
-from .families import Family, FamilySpec
+from .families import FamilySpec
 
 #: The points a family is tested at, by the parameters it takes.
 _GRIDS = {
@@ -25,8 +25,7 @@ def add_arguments(parser) -> None:
 
 
 def _instances(clamp: int | None) -> Iterator[tuple[FamilySpec, int]]:
-    for family in Family:
-        names, _, walk = families._FAMILIES[family]
+    for family, (names, _, walk) in families._FAMILIES.items():
         cap = 10 if walk is None else walk[0]  # General has no walk
         for values in _GRIDS[names]:
             yield FamilySpec(family, **dict(zip(names, values))), min(cap, clamp or cap)

@@ -25,16 +25,15 @@ it from below, from the same integers.
 
 ``transform_log_convexity_experiment`` gathers evidence for two open
 conjectures: applying either Eulerian triangle to a log-convex input
-sequence, does log-convexity survive?  Both triangles are rows of the
-one integer recurrence ``families.eulerian_rows``: type A at
-(ab, bd, d) = (1, 1, 1) and type B at (1, 2, 2).  It proves nothing; it computes
+sequence, does log-convexity survive?  A triangle is named by its letter
+in ``families._TRIANGLES``, and both are rows of the one integer
+recurrence ``families.eulerian_rows``.  It proves nothing; it computes
 ``z_n = sum_k triangle(n,k) x_k`` exactly and reports any witnesses.
 The reports are named tuples; ``cli`` writes each one's ``_asdict()`` as JSON.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -52,7 +51,7 @@ from .algebra import (
     as_fraction,
     as_qpoly,
 )
-from .families import _weight_forms, eulerian_rows
+from .families import _TRIANGLES, _weight_forms, eulerian_rows
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -241,33 +240,23 @@ def weight_gap(i: int, a: Rat | str, b: Rat | str, d: Rat | str) -> GapResult:
 # -- transform experiments ---------------------------------------------------
 
 
-class Triangle(enum.Enum):
-    EULERIAN_A = "A"
-    EULERIAN_B = "B"
-
-
-#: The (ab, bd, d) forms of each triangle in ``families.eulerian_rows``.
-_TRIANGLE_ROWS = {
-    Triangle.EULERIAN_A: (1, 1, 1),
-    Triangle.EULERIAN_B: (1, 2, 2),
-}
-
-
 class TransformReport(namedtuple("TransformReport", "triangle z verdict witnesses")):
-    """z = triangle * x and the log-convexity evidence for z."""
+    """z = triangle * x, the triangle by its letter, and the log-convexity evidence for z."""
 
     __slots__ = ()
 
 
 def transform_log_convexity_experiment(
-    triangle: Triangle, xs: Sequence[Rat | str], n_max: int
+    triangle: str, xs: Sequence[Rat | str], n_max: int
 ) -> TransformReport:
-    """Apply a triangle to a log-convex input and test the output.
+    """Apply the triangle of letter ``triangle`` to a log-convex input and test the output.
 
     Evidence gathering only.  The input must itself be nonnegative and
     log-convex on the used window (x_k^2 <= x_{k-1} x_{k+1}); otherwise
-    the experiment is undefined and refused.
+    the experiment is undefined and refused, as is an unknown letter.
     """
+    if triangle not in _TRIANGLES:
+        raise ValueError(f"unknown triangle {triangle!r}; triangles: {', '.join(_TRIANGLES)}")
     if n_max < 2:
         raise ValueError("n_max must be >= 2 to test anything")
     values = [as_fraction(x) for x in xs]
@@ -283,7 +272,7 @@ def transform_log_convexity_experiment(
     for k in range(1, n_max):
         if xs_int[k] * xs_int[k] > xs_int[k - 1] * xs_int[k + 1]:
             raise ValueError(f"input is not log-convex at index {k}")
-    rows = eulerian_rows(*_TRIANGLE_ROWS[triangle], n_max)
+    rows = eulerian_rows(*_TRIANGLES[triangle], n_max)
     zs_int = [sum(map(mul, row, xs_int)) for row in rows]
     witnesses = tuple(
         n for n in range(1, n_max) if zs_int[n] * zs_int[n] > zs_int[n - 1] * zs_int[n + 1]

@@ -1,14 +1,15 @@
 """The six polynomial families, their routes and the table of routes.
 
 Every family is a specialization of the EGF parameter triple (a, b, d).
-The table ``_FAMILIES`` is the one place a family is declared: which of
-t, a and d it takes, its triple as a function of them, and its group
-walk with that walk's fixed cap.  ``FamilySpec``, its label,
-``family_egf_params``, the enumeration route, ``selftest`` and the
-command line all read it; ``walks`` reads the caps.
+The table ``_FAMILIES`` is the one place a family is declared: under its
+command-line name, which of t, a and d it takes, its triple as a
+function of them, and its group walk with that walk's fixed cap.
+``FamilySpec``, its label, ``family_egf_params``, the enumeration route,
+``selftest`` and the command line all read it; ``walks`` reads the caps.
 
 Every family's recurrence route is one integer triangle, ``eulerian_rows``,
-on the linear forms (ab, bd, d); type A is (1, 1, 1) and type B (1, 2, 2).
+on the linear forms (ab, bd, d).  ``_TRIANGLES`` names the two Eulerian
+triangles by letter: type A is (1, 1, 1) and type B (1, 2, 2).
 ``type_b_polynomial`` is kept only as an independent check of type B.
 
 The enumeration route, ``enumeration_polynomial``, runs a family's walk
@@ -18,55 +19,47 @@ from ``walks``, and imports that module only when it walks a group.
 
 from __future__ import annotations
 
-import enum
 from collections import deque, namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
 from . import _EXPORTS
-from .algebra import ONE, Q, QPoly, Rat, _common_denominator, _from_parts, as_fraction
+from .algebra import ONE, QPoly, Rat, _common_denominator, _from_parts, as_fraction
 
 __all__ = list(_EXPORTS["families"])
-
-
-class Family(enum.Enum):
-    TYPE_A_SHIFTED = "TypeA_shifted"
-    TYPE_A = "TypeA"
-    TYPE_A_QT = "TypeA_qt"
-    TYPE_B = "TypeB"
-    TYPE_B_QT = "TypeB_qt"
-    GENERAL = "General"
 
 
 #: The fixed ceilings of the exhaustive walks: 8! and 2^7 * 7! group elements.
 DESCENT_CAP = 8
 SIGNED_CAP = 7
 
-#: The one place a family is declared: its parameters in print order, its
-#: (a, b, d) as a function of them, and its group walk or None.  A walk is
-#: its cap and its row n aligned to the EGF, as a function of the ``walks``
-#: module, n and the parameters.
-_FAMILIES: dict[Family, tuple[tuple[str, ...], Callable, tuple[int, Callable] | None]] = {
-    Family.TYPE_A_SHIFTED: (  # descent polynomials of S_n
+#: The one place a family is declared, under its command-line name: its
+#: parameters in print order, its (a, b, d) as a function of them, and its
+#: group walk or None.  A walk is its cap and its row n aligned to the EGF,
+#: as a function of the ``walks`` module, n and the parameters.
+_FAMILIES: dict[str, tuple[tuple[str, ...], Callable, tuple[int, Callable] | None]] = {
+    "TypeA_shifted": (  # descent polynomials of S_n
         (), lambda: (1, 1, 1), (DESCENT_CAP, lambda w, n: w.descent_polynomial(n))
     ),
-    Family.TYPE_A: (  # q * descent polynomial (n >= 1)
-        (), lambda: (0, 1, 1), (DESCENT_CAP, lambda w, n: Q * w.descent_polynomial(n))
+    "TypeA": (  # q * descent polynomial (n >= 1), shifted by the constructor, not a product
+        (),
+        lambda: (0, 1, 1),
+        (DESCENT_CAP, lambda w, n: QPoly(0, *w.descent_polynomial(n).coeffs)),
     ),
-    Family.TYPE_A_QT: (  # excedances marked by q, cycles by t
+    "TypeA_qt": (  # excedances marked by q, cycles by t
         ("t",),
         lambda t: (1, t, 1),
         (DESCENT_CAP, lambda w, n, t: w.excedance_cycle_polynomial(n, t)),
     ),
-    Family.TYPE_B: (  # descent polynomials of signed permutations
+    "TypeB": (  # descent polynomials of signed permutations
         (), lambda: (1, 1, 2), (SIGNED_CAP, lambda w, n: w.signed_descent_polynomial(n, 1))
     ),
-    Family.TYPE_B_QT: (  # signed descents, negatives marked by t
+    "TypeB_qt": (  # signed descents, negatives marked by t
         ("t",),
         lambda t: (1, 1, 1 + t),
         (SIGNED_CAP, lambda w, n, t: w.signed_descent_polynomial(n, t)),
     ),
-    Family.GENERAL: (("a", "d"), lambda a, d: (a, 1, d), None),  # the (a, d) Eulerian triangle
+    "General": (("a", "d"), lambda a, d: (a, 1, d), None),  # the (a, d) Eulerian triangle
 }
 
 
@@ -75,13 +68,15 @@ class FamilySpec(namedtuple("FamilySpec", "family t a d")):
 
     __slots__ = ()
 
-    def __new__(cls, family: Family, t=None, a=None, d=None) -> FamilySpec:
+    def __new__(cls, family: str, t=None, a=None, d=None) -> FamilySpec:
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}; families: {', '.join(_FAMILIES)}")
         names = _FAMILIES[family][0]
         values = {"t": t, "a": a, "d": d}
         for name, value in values.items():
             if (value is None) == (name in names):
                 verb = "requires" if value is None else "takes no"
-                raise ValueError(f"{family.value} {verb} {name}")
+                raise ValueError(f"{family} {verb} {name}")
             if value is not None:
                 values[name] = as_fraction(value)
         return super().__new__(cls, family, **values)
@@ -93,7 +88,7 @@ class FamilySpec(namedtuple("FamilySpec", "family t a d")):
 
     def label(self) -> str:
         values = ", ".join(f"{name}={value}" for name, value in self.params.items())
-        return f"{self.family.value} ({values})" if values else self.family.value
+        return f"{self.family} ({values})" if values else self.family
 
 
 def family_egf_params(spec: FamilySpec) -> tuple[Fraction, Fraction, Fraction]:
@@ -141,6 +136,10 @@ def eulerian_rows(ab: int, bd: int, d: int, n_max: int) -> Iterator[list[int]]:
         yield row
 
 
+#: The Eulerian triangles by letter, as their (ab, bd, d) in ``eulerian_rows``.
+_TRIANGLES = {"A": (1, 1, 1), "B": (1, 2, 2)}
+
+
 def _last_row(ab: int, bd: int, d: int, n: int) -> list[int]:
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -149,12 +148,12 @@ def _last_row(ab: int, bd: int, d: int, n: int) -> list[int]:
 
 def eulerian_numbers_type_a(n: int) -> list[int]:
     """Row n of the descent triangle of S_n (length n+1, trailing 0 for n>=1)."""
-    return _last_row(1, 1, 1, n)
+    return _last_row(*_TRIANGLES["A"], n)
 
 
 def eulerian_numbers_type_b(n: int) -> list[int]:
     """Row n of the signed-descent triangle (length n+1)."""
-    return _last_row(1, 2, 2, n)
+    return _last_row(*_TRIANGLES["B"], n)
 
 
 def type_b_polynomial(n: int) -> QPoly:

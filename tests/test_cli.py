@@ -211,7 +211,7 @@ def test_the_ceiling_itself_passes_the_guard(capsys, monkeypatch, argv, flag, ce
     small_array, small_weights = riordan.exp_riordan_from_params, jacobi.jfraction_from_params
     criterion = convexity._weight_criterion(1, 1, 2, 2)
     transform = convexity.transform_log_convexity_experiment(
-        convexity.Triangle.EULERIAN_B, convexity.builtin_sequence("motzkin", 4), 3
+        "B", convexity.builtin_sequence("motzkin", 4), 3
     )
     monkeypatch.setattr(families, "recurrence_polynomial", lambda a, b, d, n: [n])
     monkeypatch.setattr(convexity, "builtin_sequence", lambda name, count: [count])
@@ -342,6 +342,21 @@ def test_check_refuses_the_other_modes_size_flag(capsys, mode, flags, named):
     code, out, err = run_cli(capsys, "check", "--family", "TypeB", "--mode", mode, *flags)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": f"{named} has no effect with --mode {mode}"}
+
+
+def test_check_zhu_fails_when_a_weight_is_negative(capsys):
+    # TypeA_qt(-1) is (a, b, d) = (1, -1, 1): s_0 = -1, so the criterion's hypothesis
+    # fails although no gap at i >= 1 does, and the rows are not q-log-convex
+    # (T_0T_2 - T_1^2 = b d^2 q = -q); the JSON fields stay the criterion's own
+    argv = ("check", "--family", "TypeA_qt", "--t=-1", "--mode", "zhu", "--imax", "3")
+    code, payload = run_json(capsys, *argv)
+    report = payload["result"]["report"]
+    assert (code, report["verdict"], report["hypothesis_nonneg"]) == (1, True, False)
+    assert report["hypothesis_witnesses"][0] == ["s", 0, 0]
+    code, out, err = run_cli(capsys, *argv, "--format", "text")
+    assert (code, out, err) == (1, "TypeA_qt (t=-1) zhu: FAIL\n", "")
+    rows = families.recurrence_polynomial(1, -1, 1, 3)
+    assert rows[0] * rows[2] - rows[1] * rows[1] == QPoly(0, -1)
 
 
 def test_check_zhu_defaults_imax_to_50(capsys):
@@ -661,8 +676,8 @@ def test_drawn_command_lines_exit_0_1_or_2_deterministically():
 
     @st.composite
     def family_flags(draw):
-        family = draw(st.sampled_from([f.value for f in families.Family]))
-        names = families._FAMILIES[families.Family(family)][0]
+        family = draw(st.sampled_from([*families._FAMILIES]))
+        names = families._FAMILIES[family][0]
         names = draw(rarely(st.sets(st.sampled_from("tad")).map(sorted))) or names
         return ["--family", family, *(f"--{n}={draw(values)}" for n in names)]
 

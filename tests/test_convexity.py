@@ -12,7 +12,6 @@ from qeuler.cli import _json_value
 from qeuler.convexity import (
     BUILTIN_SEQUENCES,
     _weight_criterion,
-    Triangle,
     builtin_sequence,
     check_q_log_convex,
     check_strong_q_log_convex,
@@ -27,6 +26,7 @@ from qeuler.jacobi import (
     moments_by_cfrac_expansion,
     moments_by_motzkin_paths,
 )
+from qeuler.series import egf_polynomials
 
 ONE = QPoly(1)
 Q = QPoly(0, 1)
@@ -253,6 +253,18 @@ def test_integer_criterion_when_a_equals_d():
         assert report.verdict and report.hypothesis_nonneg and report.gap_at_zero_nonneg
 
 
+def test_nonnegative_weights_make_the_gap_at_zero_nonnegative():
+    # the i = 0 gap is (ab)(d + ab) + 2(ab)(bd - ab) q + (bd - ab)(d + bd - ab) q^2, products
+    # of the coefficients of s_0 and s_1, so check --mode zhu's verdict needs no third term
+    rng = random.Random(36)
+    seen = 0
+    while seen < 200:
+        report = _weight_criterion(*_rationals(rng, 3), 3)
+        if report.hypothesis_nonneg:
+            seen += 1
+            assert report.gap_at_zero_nonneg
+
+
 def test_integer_criterion_refuses_an_empty_range():
     with pytest.raises(ValueError, match="i_max must be >= 1"):
         _weight_criterion(1, 1, 1, 0)
@@ -441,6 +453,34 @@ def test_rows_outside_the_region_are_not_q_log_convex():
             assert next(k for n, _, k in plain.witnesses if n == 2) <= 2
 
 
+@pytest.mark.parametrize("abd", [(5, 0, 3), (-2, 0, 3)])
+def test_rows_at_b_zero_are_in_the_region_for_every_a(abd):
+    # b = 0 kills both factors of T_1, so the rows are 1, 0, 0, ... and pass both
+    # checks with a outside [0, d]: the region is "b = 0, or b > 0 and 0 <= a <= d"
+    rows = recurrence_polynomial(*abd, 8)
+    assert rows == [ONE] + [QPoly()] * 7
+    assert check_q_log_convex(rows).verdict and check_strong_q_log_convex(rows).verdict
+
+
+def test_rows_of_the_mirrored_triple_gain_the_sign_of_n():
+    # (a, d) -> (-a, -d) negates both factors of the triangle recurrence, so
+    # rows(-a, b, -d) = (-1)^n rows(a, b, d)
+    rng = random.Random(1808)
+    for _ in range(200):
+        a, b, d = _rationals(rng, 3)
+        rows = recurrence_polynomial(a, b, d, 9)
+        mirrored = recurrence_polynomial(-a, b, -d, 9)
+        assert mirrored == [-row if n % 2 else row for n, row in enumerate(rows)], (a, b, d)
+
+
+def test_egf_rows_at_negative_d_are_the_mirrored_rows():
+    a, b, d = Fraction(3, 2), Fraction(2, 3), Fraction(-5, 4)
+    rows = egf_polynomials(a, b, d, 7)
+    assert rows == recurrence_polynomial(a, b, d, 7)
+    mirrored = recurrence_polynomial(-a, b, -d, 7)
+    assert rows == [-row if n % 2 else row for n, row in enumerate(mirrored)]
+
+
 # -- transforms ------------------------------------------------------------------------
 
 
@@ -474,9 +514,9 @@ def test_motzkin_recurrence_equals_the_convolution():
 
 def test_transform_of_ones_gives_group_orders():
     xs = builtin_sequence("ones", 6)
-    rep_a = transform_log_convexity_experiment(Triangle.EULERIAN_A, xs, 5)
+    rep_a = transform_log_convexity_experiment("A", xs, 5)
     assert list(rep_a.z) == [1, 1, 2, 6, 24, 120]
-    rep_b = transform_log_convexity_experiment(Triangle.EULERIAN_B, xs, 5)
+    rep_b = transform_log_convexity_experiment("B", xs, 5)
     assert list(rep_b.z) == [1, 2, 8, 48, 384, 3840]
     assert rep_a.verdict and rep_b.verdict
 
@@ -484,7 +524,7 @@ def test_transform_of_ones_gives_group_orders():
 def test_transform_verdicts_on_all_builtins():
     for name in BUILTIN_SEQUENCES:
         xs = builtin_sequence(name, 9)
-        for tri in Triangle:
+        for tri in "AB":
             report = transform_log_convexity_experiment(tri, xs, 8)
             assert report.verdict, (name, tri)
             assert not report.witnesses
@@ -492,16 +532,19 @@ def test_transform_verdicts_on_all_builtins():
 
 def test_transform_refuses_bad_input():
     with pytest.raises(ValueError):
-        transform_log_convexity_experiment(Triangle.EULERIAN_A, [1, 5, 1, 5, 1], 3)
+        transform_log_convexity_experiment("A", [1, 5, 1, 5, 1], 3)
     with pytest.raises(ValueError):
-        transform_log_convexity_experiment(Triangle.EULERIAN_A, [1, -1, 1, 1], 2)
+        transform_log_convexity_experiment("A", [1, -1, 1, 1], 2)
     with pytest.raises(ValueError):
-        transform_log_convexity_experiment(Triangle.EULERIAN_A, [1, 1], 3)
+        transform_log_convexity_experiment("A", [1, 1], 3)
+    for letter in ("C", "a"):
+        with pytest.raises(ValueError, match=f"^unknown triangle '{letter}'; triangles: A, B$"):
+            transform_log_convexity_experiment(letter, [1, 1, 1], 2)
 
 
 def test_transform_report_serializes():
     xs = builtin_sequence("powers2", 4)
-    report = transform_log_convexity_experiment(Triangle.EULERIAN_B, xs, 3)
+    report = transform_log_convexity_experiment("B", xs, 3)
     data = _as_json(report._asdict())
     assert list(data) == ["triangle", "z", "verdict", "witnesses"]
     assert data["triangle"] == "B"

@@ -8,7 +8,7 @@ import pytest
 
 from qeuler.algebra import QPoly
 from qeuler.cli import _json_value
-from qeuler.families import Family, FamilySpec, family_egf_params
+from qeuler.families import FamilySpec, family_egf_params
 from qeuler.jacobi import (
     JFraction,
     NonQuasiDefiniteError,
@@ -380,19 +380,19 @@ def test_inversion_property_round_trip_or_first_vanishing_norm():
 
 
 def test_inversion_of_type_b_at_depth_30():
-    jf = jfraction_from_params(*family_egf_params(FamilySpec(Family.TYPE_B)), 30)
+    jf = jfraction_from_params(*family_egf_params(FamilySpec("TypeB")), 30)
     assert jfraction_from_moments(moments_by_motzkin_paths(jf, 60), 30) == jf
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        FamilySpec(Family.TYPE_A),
-        FamilySpec(Family.TYPE_A_SHIFTED),
-        FamilySpec(Family.TYPE_A_QT, t=Fraction(4, 3)),
-        FamilySpec(Family.TYPE_B),
-        FamilySpec(Family.TYPE_B_QT, t=Fraction(5, 4)),
-        FamilySpec(Family.GENERAL, a=Fraction(2, 3), d=Fraction(5, 3)),
+        FamilySpec("TypeA"),
+        FamilySpec("TypeA_shifted"),
+        FamilySpec("TypeA_qt", t=Fraction(4, 3)),
+        FamilySpec("TypeB"),
+        FamilySpec("TypeB_qt", t=Fraction(5, 4)),
+        FamilySpec("General", a=Fraction(2, 3), d=Fraction(5, 3)),
     ],
     ids=lambda spec: spec.label(),
 )
