@@ -487,15 +487,8 @@ def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
     """
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    # nonzero constants are units, so the gcd collapses to 1 immediately
-    if f.degree == 0 or g.degree == 0:
-        return ONE
     while not g.is_zero:
-        f, g = g, poly_divmod(f, g)[1]
-        if g.degree == 0:
-            return ONE
-        if not g.is_zero:
-            g = g.monic()  # keeps coefficient growth in check
+        f, g = g.monic(), poly_divmod(f, g)[1]  # a monic divisor keeps coefficients small
     return f.monic()
 
 

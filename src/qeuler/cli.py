@@ -6,9 +6,11 @@ for byte for a fixed invocation: the envelope carries only the tool
 name and version, never timestamps.
 
 Each command lives in its own module (``_COMMANDS``), which declares the
-command's arguments and runs it.  When the first argument names a
-command, only that module is imported and only its parser is built;
-any other command line builds the full parser, which imports them all.
+command's arguments and runs it.  The parser lists every command, but
+only the one argparse dispatches to, the first argument that names a
+command, declares its arguments; so a command line imports at most one
+command module, and one that names no command (help, no arguments, an
+unknown command) imports none.
 This module keeps what the commands share: the main parser, the output
 and family flags, the family lookup and the JSON encoder.  Every
 ``choices=`` but ``--format`` reads the keys of the table that acts on
@@ -105,19 +107,16 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         description="Exact q-Eulerian polynomials: generating functions, "
         "continued fractions, enumeration, convexity.",
     )
-    if argv and argv[0] in _COMMANDS:
-        # only the invoked command; the metavar keeps the full parser's usage line
-        names = [argv[0]]
-        metavar = "{%s}" % ",".join(_COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    else:
-        names = list(_COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        p = sub.add_parser(name, help=_COMMANDS[name][1])
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    # argparse dispatches to the first argument that names a command (no name starts
+    # with "-"), so only that command declares its arguments and imports its module
+    invoked = next((a for a in argv if a in _COMMANDS), None)
+    if invoked:
+        p = commands[invoked]
         p.add_argument("--format", choices=("json", "text"), default="json", help="output format")
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-        _command(name).add_arguments(p)
+        _command(invoked).add_arguments(p)
     return parser
 
 

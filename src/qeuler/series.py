@@ -178,9 +178,7 @@ class TruncSeries:
         e = as_fraction(exponent)
         if self.coeffs[0] != ONE:
             raise ValueError("pow requires constant term 1")
-        if e == 0:
-            return TruncSeries.constant(self.order, ONE)
-        if e == 1:
+        if e == 1:  # every b = 1 family on the EGF route: no log and exp
             return self
         return (self.log() * e).exp()
 

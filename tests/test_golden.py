@@ -145,6 +145,11 @@ USAGE_GOLDEN = [
     # an option before the command: the main parser takes "text" for the command
     (("--format", "text", *_TABLE), 2,
      "afcc82d677674cd31678814a415e3d49e8b2a0d4ee03542a3b3b7d5810f00c44"),
+    # an unknown option before a valid command: the error names "--bogus" alone,
+    # and --help prints that command's help (so the parser reads past the option)
+    (("--bogus", *_TABLE), 2, "021f691772349f51b3e551d82e968765b33c94182c589a624abeda2cf1a9eec5"),
+    (("--bogus", "table", "--help"), 0,
+     "059364d3005dbfe1c2d46d084d2be6def057b1d82f8691479a2381fa25611239"),
     # a valid command, then an argument that only the main parser can refuse
     ((*_TABLE, "extra"), 2, "a0ef7cd955fbf1a6ad58f6b9743262eedc206237053c73b000f3b553f7d5843d"),
     (("table", "--family", "Nope", "--nmax", "3", "--route", "egf"), 2,
@@ -164,6 +169,8 @@ _USAGE_DIGESTS_3_13 = [
     "29e1c59777108bca72e30f35ae07ed23cf0d8012794f44d6bdb649bc865185e9",
     "4a68f910a81439ecda05ea11ce8a4049e9d796208cec0fdcfbb289be30ff0e33",
     "cdd77e4decbcd4d8df75bb6ceed5d4fb7eceb1963cc0166ce3d4c7ca97ba3e13",
+    "56f699d6bcd00d07e6e8b1275d872c90ea6a918f49ace72022c7fe1246aa4902",
+    "38c7f7b22adf91fb02b209448cc61089f0342f5d40835608f3431f4adf74f146",
     "2b83ee1bf91332dae4325001a04880140ee7859f217552c54d7e92759e3ced22",
     "7bbf1cc367d6687c4d06f514c92812ad7829dcfd0c3316553f7146d17febae4e",
 ]

@@ -190,6 +190,29 @@ def test_no_command_loads_another_commands_module(argv):
     assert {m for m in _loaded(*argv) if m.startswith("cmd_")} == own
 
 
+_PARSE_CHILD = """
+import contextlib, io, json, sys
+from qeuler.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[2:])
+assert code == int(sys.argv[1]), code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("qeuler.cmd_"))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,code", [((), 2), (("--help",), 0), (("bogus",), 2)], ids=["(none)", "--help", "bogus"]
+)
+def test_help_and_usage_errors_load_no_command_module(argv, code):
+    # the parser lists every command by name and help line alone
+    assert _child(_PARSE_CHILD, str(code), *argv) == []
+
+
+def test_an_option_before_the_command_loads_only_that_command():
+    # argparse dispatches to the first argument that names a command, not to argv[0]
+    assert _child(_PARSE_CHILD, "2", "--bogus", *_RECURRENCE) == ["qeuler.cmd_table"]
+
+
 def test_algebra_forwards_the_names_that_moved_to_ratfun():
     # the benchmark's tracer looks QRatFun up as algebra.QRatFun; nothing reads the rest there
     from qeuler import algebra, ratfun
