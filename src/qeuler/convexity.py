@@ -288,49 +288,30 @@ def transform_log_convexity_experiment(
 # -- builtin log-convex inputs -------------------------------------------------
 
 
-def _ones(count: int) -> list[Fraction]:
-    return [Fraction(1)] * count
-
-def _powers_of_two(count: int) -> list[Fraction]:
-    return [Fraction(2) ** n for n in range(count)]
-
-def _factorials(count: int) -> list[Fraction]:
-    out, acc = [], 1
-    for n in range(count):
-        acc = acc * n if n else 1
-        out.append(Fraction(acc))
-    return out
-
-def _catalan(count: int) -> list[Fraction]:
-    out, c = [], 1
-    for n in range(count):
-        out.append(Fraction(c))
-        c = c * 2 * (2 * n + 1) // (n + 2)
-    return out
-
-def _motzkin(count: int) -> list[Fraction]:
-    # (n + 2) M_n = (2n + 1) M_{n-1} + 3(n - 1) M_{n-2} at n + 1; each division is exact
-    out, prev, cur = [], 0, 1
-    for n in range(count):
-        out.append(Fraction(cur))
-        prev, cur = cur, ((2 * n + 3) * cur + 3 * n * prev) // (n + 3)
-    return out
-
-
-BUILTIN_SEQUENCES: dict[str, Callable[[int], list[Fraction]]] = {
-    "ones": _ones,
-    "powers2": _powers_of_two,
-    "factorial": _factorials,
-    "catalan": _catalan,
-    "motzkin": _motzkin,
+#: Each builtin input as n -> (p, r, s), the coefficients of its integer
+#: recurrence x_{n+1} = (p x_n + r x_{n-1}) / s from x_0 = 1 and x_{-1} = 0;
+#: every division is exact.
+BUILTIN_SEQUENCES: dict[str, Callable[[int], tuple[int, int, int]]] = {
+    "ones": lambda n: (1, 0, 1),
+    "powers2": lambda n: (2, 0, 1),
+    "factorial": lambda n: (n + 1, 0, 1),
+    "catalan": lambda n: (4 * n + 2, 0, n + 2),
+    # (n + 2) M_n = (2n + 1) M_{n-1} + 3(n - 1) M_{n-2}, at n + 1
+    "motzkin": lambda n: (2 * n + 3, 3 * n, n + 3),
 }
 
 
 def builtin_sequence(name: str, count: int) -> list[Fraction]:
+    """x_0 .. x_{count-1} of the builtin input ``name``, from its row of ``BUILTIN_SEQUENCES``."""
     try:
-        gen = BUILTIN_SEQUENCES[name]
+        step = BUILTIN_SEQUENCES[name]
     except KeyError:
         raise ValueError(
             f"unknown sequence {name!r}; builtins: {', '.join(sorted(BUILTIN_SEQUENCES))}"
         ) from None
-    return gen(count)
+    out, prev, cur = [], 0, 1
+    for n in range(count):
+        out.append(Fraction(cur))
+        p, r, s = step(n)
+        prev, cur = cur, (p * cur + r * prev) // s
+    return out

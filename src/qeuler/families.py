@@ -201,7 +201,7 @@ def enumeration_polynomial(spec: FamilySpec, count: int) -> list[QPoly]:
     """
     walk = _FAMILIES[spec.family][2]
     if walk is None:
-        return recurrence_polynomial(spec.a, 1, spec.d, count)
+        return recurrence_polynomial(*family_egf_params(spec), count)
     from . import walks
 
     _, row = walk

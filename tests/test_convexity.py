@@ -9,6 +9,7 @@ import pytest
 
 from qeuler.algebra import QPoly, _chain_drops, _first_drop
 from qeuler.cli import _json_value
+from qeuler.cmd_conjecture import _MAX_TERMS
 from qeuler.convexity import (
     BUILTIN_SEQUENCES,
     _weight_criterion,
@@ -493,6 +494,18 @@ def test_builtin_sequences():
     with pytest.raises(ValueError, match="ones"):
         builtin_sequence("fibonacci", 4)
     assert set(BUILTIN_SEQUENCES) == {"ones", "powers2", "factorial", "catalan", "motzkin"}
+    # every row against its closed form, up to the most terms conjecture reads
+    count = _MAX_TERMS + 1
+    closed_forms = {
+        "ones": lambda n: 1,
+        "powers2": lambda n: 2**n,
+        "factorial": math.factorial,
+        "catalan": lambda n: math.comb(2 * n, n) // (n + 1),
+    }
+    for name, closed_form in closed_forms.items():
+        xs = builtin_sequence(name, count)
+        assert all(type(x) is Fraction for x in xs), name
+        assert xs == [closed_form(n) for n in range(count)], name
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SEQUENCES))
