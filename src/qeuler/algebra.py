@@ -6,9 +6,10 @@ fractions, convexity checks) runs on ``QPoly`` and its exact division:
 * ``QPoly``    -- a dense, immutable polynomial in the formal variable
   ``q`` with rational coefficients, stored as integer numerators over one
   positive common denominator.  The form is canonical (gcd of the
-  denominator and all numerators is 1, trailing zeros are stripped), so
-  sums, products, scalar division, sign tests, equality and hashing all
-  run on Python ints.  ``QPoly.coeffs`` is a view that builds the
+  denominator and all numerators is 1, trailing zeros are stripped), and
+  one function, ``_from_parts``, makes it for ``QPoly(...)`` and every
+  operation.  So sums, products, scalar division, sign tests, equality
+  and hashing all run on Python ints.  ``QPoly.coeffs`` is a view that builds the
   ``fractions.Fraction`` coefficients when asked.
 * ``poly_divmod`` -- quotient and remainder in Q[q] by integer
   pseudo-division of the numerators, scaled once at the start and
@@ -126,10 +127,10 @@ class QPoly:
     _num: tuple[int, ...]
     _den: int
 
-    def __init__(self, *coeffs: Rat | str):
+    def __new__(cls, *coeffs: Rat | str) -> "QPoly":
         cs = [c if type(c) is int else as_fraction(c) for c in coeffs]
         den, num = _common_denominator(cs)
-        _set_parts(self, num, den)
+        return _from_parts(num, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QPoly is immutable")
@@ -152,12 +153,6 @@ class QPoly:
     @property
     def is_zero(self) -> bool:
         return not self._num
-
-    @property
-    def lead(self) -> Fraction:
-        if not self._num:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
 
     @property
     def constant(self) -> Fraction:
@@ -256,35 +251,16 @@ class QPoly:
             return _from_parts([n * r for n in self._num], self._den * p)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "QPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- calculus and order structure -----------------------------------
 
     def derivative(self) -> "QPoly":
         """Formal d/dq."""
         return _from_parts([k * c for k, c in enumerate(self._num) if k], self._den)
 
-    def monic(self) -> "QPoly":
-        return self / self.lead
-
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data) -> "QPoly":
-        return cls(*(parse_rational(c) for c in data))
 
     def __str__(self) -> str:
         if not self._num:
@@ -309,8 +285,12 @@ class QPoly:
         return f"QPoly({str(self)})"
 
 
-def _set_parts(poly: QPoly, num: list[int], den: int) -> None:
-    """Store ``num / den`` (``den > 0``) in ``poly`` in canonical form."""
+def _from_parts(num: list[int], den: int) -> QPoly:
+    """The polynomial ``num / den`` (``den > 0``) in canonical form; takes ``num``.
+
+    The one place a ``QPoly`` is made: trailing zeros are stripped and the
+    gcd of ``den`` and every numerator is divided out.
+    """
     while num and not num[-1]:
         num.pop()
     if not num:
@@ -320,14 +300,9 @@ def _set_parts(poly: QPoly, num: list[int], den: int) -> None:
         if g != 1:
             den //= g
             num = [c // g for c in num]
+    poly = object.__new__(QPoly)
     object.__setattr__(poly, "_num", tuple(num))
     object.__setattr__(poly, "_den", den)
-
-
-def _from_parts(num: list[int], den: int) -> QPoly:
-    """The polynomial with numerators ``num`` over ``den > 0``; takes ``num``."""
-    poly = object.__new__(QPoly)
-    _set_parts(poly, num, den)
     return poly
 
 
@@ -488,8 +463,8 @@ def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     while not g.is_zero:
-        f, g = g.monic(), poly_divmod(f, g)[1]  # a monic divisor keeps coefficients small
-    return f.monic()
+        f, g = g / g.coeffs[-1], poly_divmod(f, g)[1]  # a monic divisor keeps coefficients small
+    return f / f.coeffs[-1]
 
 
 def __getattr__(name: str):

@@ -42,7 +42,7 @@ def run(args):
     if args.depth is not None:
         cli._at_most("invert-moments recovers", _MAX_DEPTH, "s weights", "--depth", args.depth)
     if args.file:
-        for name in ("t", "a", "d", "nmax"):
+        for name in (*families.FamilySpec._fields[1:], "nmax"):
             if getattr(args, name) is not None:
                 raise ValueError(f"--{name} has no effect with --file")
         moments = _moments_from_file(args.file)

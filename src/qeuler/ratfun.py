@@ -14,9 +14,10 @@ forces denominator 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import _EXPORTS
-from .algebra import ONE, ZERO, Q, QPoly, as_qpoly, poly_divmod, poly_gcd
+from .algebra import ONE, ZERO, Q, QPoly, as_qpoly, parse_rational, poly_divmod, poly_gcd
 
 __all__ = list(_EXPORTS["ratfun"])
 
@@ -54,7 +55,7 @@ class QRatFun:
             if g != ONE:
                 n = _poly_exact_div(n, g)
                 d = _poly_exact_div(d, g)
-            c = d.lead
+            c = d.coeffs[-1]
             if c != 1:
                 n = n / c
                 d = d / c
@@ -167,7 +168,7 @@ class QRatFun:
     def reciprocal(self) -> "QRatFun":
         if self.num.is_zero:
             raise ZeroDivisionError("reciprocal of zero")
-        c = self.num.lead
+        c = self.num.coeffs[-1]
         return QRatFun._trusted(self.den / c, self.num / c)
 
     def __truediv__(self, other: object) -> "QRatFun":
@@ -187,7 +188,7 @@ class QRatFun:
             raise ValueError("rational-function powers must be integers")
         if n < 0:
             return self.reciprocal() ** (-n)
-        return QRatFun._trusted(self.num**n, self.den**n) if self.den != ONE else QRatFun._trusted(self.num**n, ONE)
+        return QRatFun._trusted(prod((self.num,) * n, start=ONE), prod((self.den,) * n, start=ONE))
 
     # -- serialization ----------------------------------------------------
 
@@ -196,7 +197,7 @@ class QRatFun:
 
     @classmethod
     def from_json(cls, data) -> "QRatFun":
-        return cls(QPoly.from_json(data["num"]), QPoly.from_json(data["den"]))
+        return cls(*(QPoly(*map(parse_rational, data[key])) for key in ("num", "den")))
 
     def __str__(self) -> str:
         if self.den == ONE:

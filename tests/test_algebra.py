@@ -58,8 +58,6 @@ def test_parse_rational_refuses_non_strings_by_type(value):
     message = f"cannot parse {type(value).__name__} as"
     with pytest.raises(TypeError, match=message):
         parse_rational(value)
-    with pytest.raises(TypeError, match=message):
-        QPoly.from_json([value])
 
 
 def test_as_fraction_refuses_floats_and_bools():
@@ -103,11 +101,7 @@ def test_qpoly_is_immutable_and_hashable():
 def test_qpoly_accessors():
     p = QPoly(5, 0, Fraction(1, 2))
     assert p.constant == 5
-    assert p.lead == Fraction(1, 2)
     assert p.coeffs == (5, 0, Fraction(1, 2))
-    assert QPoly(2, 4).monic() == QPoly(Fraction(1, 2), 1)
-    with pytest.raises(ValueError):
-        QPoly().lead
 
 
 def test_qpoly_equals_scalars():
@@ -120,16 +114,12 @@ def test_qpoly_equals_scalars():
 def test_qpoly_arithmetic_hand_cases():
     q = QPoly(0, 1)
     assert (1 + q) * (1 + q) == QPoly(1, 2, 1)
-    assert (1 + q) ** 3 == QPoly(1, 3, 3, 1)
     assert QPoly(2, 4) / 2 == QPoly(1, 2)
     assert 1 - q == QPoly(1, -1)
     assert q * 0 == QPoly()
 
 
 def test_qpoly_power_zero_and_division_errors():
-    assert QPoly(2, 5) ** 0 == 1
-    with pytest.raises(ValueError):
-        QPoly(1, 1) ** -1
     with pytest.raises(ZeroDivisionError):
         QPoly(1, 1) / 0
 
@@ -340,16 +330,13 @@ def test_qpoly_str_forms():
 def test_qpoly_json_round_trip():
     p = QPoly(1, Fraction(-3, 2), 0, 7)
     assert p.to_json() == ["1", "-3/2", "0", "7"]
-    assert QPoly.from_json(p.to_json()) == p
-    with pytest.raises(ValueError):
-        QPoly.from_json(["1.5"])
 
 
 # -- gcd ---------------------------------------------------------------------
 
 
 def test_poly_gcd_common_factor_comes_back_monic():
-    f = QPoly(1, 1) ** 2 * QPoly(2, 1)
+    f = QPoly(1, 1) * QPoly(1, 1) * QPoly(2, 1)
     g = QPoly(1, 1) * QPoly(3, 1)
     assert poly_gcd(f, g) == QPoly(1, 1)
     assert poly_gcd(QPoly(2, 2), QPoly(4, 4)) == QPoly(1, 1)
@@ -390,7 +377,7 @@ def test_poly_gcd_divides_both_on_random_inputs():
         f = common * _rand_poly(rng, 3, allow_zero=False)
         g = common * _rand_poly(rng, 3, allow_zero=False)
         d = poly_gcd(f, g)
-        assert d.lead == 1
+        assert d.coeffs[-1] == 1
         # gcd must absorb the planted factor
         assert d.degree >= common.degree
         assert QRatFun(f, d).is_polynomial and QRatFun(g, d).is_polynomial
@@ -461,3 +448,18 @@ def test_qratfun_json_round_trip():
     data = r.to_json()
     assert data == {"num": ["0", "-1"], "den": ["-1", "1"]}
     assert QRatFun.from_json(data) == r
+
+
+def test_qratfun_power_and_json_round_trip_on_random_inputs():
+    # r ** n is n factors of r, or of its reciprocal for n < 0, and from_json
+    # reads back what to_json wrote
+    rng = random.Random(2719)
+    for _ in range(20):
+        r = QRatFun(_rand_poly(rng, 3, allow_zero=False), _rand_poly(rng, 2, allow_zero=False))
+        for n in range(-3, 4):
+            factor = r if n >= 0 else r.reciprocal()
+            expected = QRatFun(1)
+            for _ in range(abs(n)):
+                expected = expected * factor
+            assert r**n == expected
+        assert QRatFun.from_json(r.to_json()) == r

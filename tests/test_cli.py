@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import qeuler.cmd_table as cmd_table
 import qeuler.convexity as convexity
 import qeuler.families as families
 import qeuler.jacobi as jacobi
@@ -144,6 +145,10 @@ def test_150_series_rows_and_151_recurrence_rows_pass_the_guard(capsys, monkeypa
     )
     assert code == 0
     assert payload["result"]["rows"] == [1] * nmax
+
+
+def test_table_has_one_row_ceiling_per_route():
+    assert cmd_table._MAX_ROWS.keys() == families._ROUTES.keys()
 
 
 _CEILINGS = [

@@ -39,8 +39,8 @@ _GENERAL_ENUM = _ALLOWED["recurrence"]
 #: ring arithmetic, so a fault in ``QPoly`` arithmetic shows as egf != enum or
 #: cfrac != recurrence.  A walked row is built by ``QPoly(...)``, and TypeA's
 #: is its descent row shifted by one place, read back through ``coeffs``.
-_CONSTRUCTORS = {"_common_denominator", "_from_parts", "_set_parts", "as_fraction"}
-_RING = {"enum": _CONSTRUCTORS | {"__init__", "coeffs"}, "recurrence": _CONSTRUCTORS}
+_CONSTRUCTORS = {"_common_denominator", "_from_parts", "as_fraction"}
+_RING = {"enum": _CONSTRUCTORS | {"__new__", "coeffs"}, "recurrence": _CONSTRUCTORS}
 
 #: Family plumbing: a spec's parameters (``FamilySpec.params``), its (a, b, d),
 #: and the lambdas of ``_FAMILIES`` and ``_ROUTES``.
